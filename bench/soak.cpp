@@ -199,9 +199,12 @@ NetModeReport run_net_mode(bool chaos, std::size_t requests_per_client, std::siz
   }
 
   ds::Timestamp next_wave = 1;
+  // One wave: drain everything staged into the wave's timestamp, then run it.
   const auto drain_wave = [&] {
+    ds::Client client(*store, next_wave);
+    bridge->make_ingest()(client, next_wave);
     wms::SyncController sync;
-    engine->run_waves_pipelined(next_wave, 1, sync, bridge->make_ingest());
+    engine->run_wave(next_wave, sync);
     ++next_wave;
   };
 
@@ -225,11 +228,8 @@ NetModeReport run_net_mode(bool chaos, std::size_t requests_per_client, std::siz
         live.fetch_sub(1, std::memory_order_release);
       });
     }
-    wms::SyncController sync;
-    const wms::WaveIngest ingest = bridge->make_ingest();
     while (drive_waves && live.load(std::memory_order_acquire) > 0) {
-      engine->run_waves_pipelined(next_wave, 1, sync, ingest);
-      ++next_wave;
+      drain_wave();
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     for (auto& worker : workers) worker.join();

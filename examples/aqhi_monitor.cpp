@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "core/experiment.h"
+#include "datastore/client.h"
 #include "net/bridge.h"
 #include "net/gateway.h"
 #include "net/server.h"
@@ -32,8 +33,8 @@ void handle_signal(int) { g_stop.store(true, std::memory_order_release); }
 
 /// --serve mode: the compute-only AQHI workflow behind the HTTP gateway.
 /// Sensor rows arrive over POST /ingest/sensors; POST /wave/run admits wave
-/// requests into a bounded queue that a driver thread drains through the
-/// pipelined engine, so overload turns into 503s at the front door.
+/// requests into a bounded queue that a driver thread drains wave by wave,
+/// so overload turns into 503s at the front door.
 /// --loops shards the front-end across that many SO_REUSEPORT event loops.
 int serve(std::uint16_t port, std::size_t loops) {
   using namespace smartflux;
@@ -96,15 +97,19 @@ int serve(std::uint16_t port, std::size_t loops) {
   net::Server server(net::make_gateway_router(gateway), server_options);
   server.start();
 
-  // Driver: drains admitted waves through the pipelined engine, the bridge's
-  // WaveIngest replacing the 1_feed step.
+  // One wave: the bridge's WaveIngest (replacing the 1_feed step) writes
+  // everything staged so far at the wave's timestamp, then the steps run.
   const wms::WaveIngest ingest = bridge.make_ingest();
-  std::thread driver([&] {
+  const auto run_one_wave = [&](ds::Timestamp wave) {
+    ds::Client client(store, wave);
+    ingest(client, wave);
     wms::SyncController sync;
-    while (const auto wave = queue.pop()) {
-      engine.run_waves_pipelined(*wave, 1, sync, ingest);
-      waves_completed.fetch_add(1, std::memory_order_relaxed);
-    }
+    engine.run_wave(wave, sync);
+    waves_completed.fetch_add(1, std::memory_order_relaxed);
+  };
+  // Driver: drains admitted waves.
+  std::thread driver([&] {
+    while (const auto wave = queue.pop()) run_one_wave(*wave);
   });
 
   std::printf("serving AQHI stack on http://127.0.0.1:%u (%s backend, %zu loop%s%s); "
@@ -136,10 +141,7 @@ int serve(std::uint16_t port, std::size_t loops) {
     queue.close();  // wakes the driver; remaining admitted waves drain first
     driver.join();
     if (bridge.staged_rows() > 0) {
-      wms::SyncController sync;
-      engine.run_waves_pipelined(next_wave.fetch_add(1, std::memory_order_relaxed), 1, sync,
-                                 ingest);
-      waves_completed.fetch_add(1, std::memory_order_relaxed);
+      run_one_wave(next_wave.fetch_add(1, std::memory_order_relaxed));
     }
   });
   std::printf("stopped after %zu waves (%s)\n", waves_completed.load(),

@@ -191,22 +191,12 @@ RandomForest RandomForest::load(std::istream& is) {
   std::size_t num_trees = 0;
   std::size_t num_classes = 0;
   ForestOptions options;
-  if (!(is >> magic)) throw InvalidArgument("malformed RandomForest stream (bad header)");
   double oob = 0.0;
-  if (magic == "forest2") {
-    if (!(is >> num_trees >> num_classes >> options.decision_threshold >> oob >>
-          options.bootstrap_fraction >> options.tree.max_depth >> options.tree.min_samples_leaf >>
-          options.tree.min_samples_split >> options.tree.max_features >>
-          options.tree.positive_class_weight)) {
-      throw InvalidArgument("malformed RandomForest stream (bad header)");
-    }
-  } else if (magic == "forest") {
-    // Legacy header: only num_trees and the threshold were stored; the other
-    // options keep their defaults (pre-PR-1 behaviour).
-    if (!(is >> num_trees >> num_classes >> options.decision_threshold >> oob)) {
-      throw InvalidArgument("malformed RandomForest stream (bad header)");
-    }
-  } else {
+  if (!(is >> magic) || magic != "forest2" ||
+      !(is >> num_trees >> num_classes >> options.decision_threshold >> oob >>
+        options.bootstrap_fraction >> options.tree.max_depth >> options.tree.min_samples_leaf >>
+        options.tree.min_samples_split >> options.tree.max_features >>
+        options.tree.positive_class_weight)) {
     throw InvalidArgument("malformed RandomForest stream (bad header)");
   }
   SF_CHECK(num_trees >= 1, "RandomForest stream declares no trees");

@@ -18,7 +18,7 @@ namespace smartflux::ml {
 
 struct ForestOptions {
   std::size_t num_trees = 64;
-  TreeOptions tree;
+  TreeOptions tree{};
   /// Fraction of the training set drawn (with replacement) per tree.
   double bootstrap_fraction = 1.0;
   /// Score threshold above which class 1 is predicted; lowering it below 0.5
@@ -71,9 +71,8 @@ class RandomForest final : public Classifier {
   /// Persists the fitted forest (trees + the full ForestOptions except
   /// train_threads, which is an execution policy, not part of the model);
   /// load() restores a forest making identical predictions and whose
-  /// options() — and therefore any re-fit — match the saved forest. Streams
-  /// written by the legacy format (num_trees + threshold only) still load,
-  /// with the unstored options at their defaults.
+  /// options() — and therefore any re-fit — match the saved forest. Any
+  /// header other than "forest2" throws InvalidArgument.
   void save(std::ostream& os) const;
   static RandomForest load(std::istream& is);
 

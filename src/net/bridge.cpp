@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 
 #include "core/smartflux.h"
 #include "datastore/client.h"
@@ -127,18 +126,6 @@ std::size_t IngestBridge::commit(std::size_t count, std::size_t bytes) {
   return total;
 }
 
-namespace {
-
-std::size_t record_bytes(const std::vector<IngestRecord>& records) {
-  std::size_t bytes = 0;
-  for (const IngestRecord& r : records) {
-    bytes += r.row.size() + r.column.size() + sizeof r.value;
-  }
-  return bytes;
-}
-
-}  // namespace
-
 bool IngestBridge::accept_key(Stripe& stripe, const std::string& table, std::string_view key,
                               bool durable) {
   std::string scoped = scoped_key(table, key);
@@ -157,25 +144,6 @@ bool IngestBridge::accept_key(Stripe& stripe, const std::string& table, std::str
   return true;
 }
 
-std::size_t IngestBridge::stage(const std::string& table, std::vector<IngestRecord> records) {
-  const std::size_t count = records.size();
-  const std::size_t bytes = record_bytes(records);
-  Stripe& stripe = stripes_[stripe_of(table)];
-  {
-    std::lock_guard lock(stripe.mutex);
-    TableStage& stage = stripe.staged[table];
-    if (stage.records.empty()) {
-      stage.records = std::move(records);
-    } else {
-      stage.records.insert(stage.records.end(), std::make_move_iterator(records.begin()),
-                           std::make_move_iterator(records.end()));
-    }
-    stage.rows += count;
-    stage.bytes += bytes;
-  }
-  return commit(count, bytes);
-}
-
 std::size_t IngestBridge::stage_spans(const std::string& table, std::string arena,
                                       std::vector<IngestSpan> spans) {
   const std::size_t count = spans.size();
@@ -189,35 +157,6 @@ std::size_t IngestBridge::stage_spans(const std::string& table, std::string aren
     stage.bytes += bytes;
   }
   return commit(count, bytes);
-}
-
-IngestBridge::StageOutcome IngestBridge::stage_keyed(const std::string& table, std::string_view key,
-                                        std::vector<IngestRecord> records) {
-  if (options_.dedupe_window == 0 || key.empty()) {
-    return StageOutcome{stage(table, std::move(records)), false};
-  }
-  const std::size_t count = records.size();
-  const std::size_t bytes = record_bytes(records);
-  Stripe& stripe = stripes_[stripe_of(table)];
-  {
-    std::lock_guard lock(stripe.mutex);
-    if (!accept_key(stripe, table, key, /*durable=*/false)) {
-      duplicates_total_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_) obs_->duplicates->inc();
-      return StageOutcome{0, true};
-    }
-    TableStage& stage = stripe.staged[table];
-    if (stage.records.empty()) {
-      stage.records = std::move(records);
-    } else {
-      stage.records.insert(stage.records.end(), std::make_move_iterator(records.begin()),
-                           std::make_move_iterator(records.end()));
-    }
-    stage.rows += count;
-    stage.bytes += bytes;
-  }
-  commit(count, bytes);
-  return StageOutcome{count, false};
 }
 
 IngestBridge::StageOutcome IngestBridge::stage_spans_keyed(const std::string& table,
@@ -311,7 +250,6 @@ wms::WaveIngest IngestBridge::make_ingest() {
     for (const auto& [table, stage] : merged) {
       ops.clear();
       ops.reserve(stage.rows);
-      for (const IngestRecord& r : stage.records) ops.push_back({r.row, r.column, r.value});
       // Span batches resolve to views over their arenas — alive until
       // `merged` dies, which outlasts the put_batch call. No copies.
       for (const auto& [arena, spans] : stage.batches) {
@@ -366,46 +304,6 @@ IngestBridge::Stats IngestBridge::stats() const {
   s.refusals = refusals_total_.load(std::memory_order_relaxed);
   s.duplicates = duplicates_total_.load(std::memory_order_relaxed);
   return s;
-}
-
-std::optional<std::vector<IngestRecord>> parse_ingest_body(std::string_view body,
-                                                           std::string* error) {
-  std::vector<IngestRecord> records;
-  std::size_t line_no = 0;
-  std::size_t start = 0;
-  while (start <= body.size()) {
-    std::size_t end = body.find('\n', start);
-    if (end == std::string_view::npos) end = body.size();
-    std::string_view line = body.substr(start, end - start);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    ++line_no;
-    const std::size_t next = end + 1;
-    if (!line.empty()) {
-      const std::size_t c1 = line.find(',');
-      const std::size_t c2 = c1 == std::string_view::npos ? c1 : line.find(',', c1 + 1);
-      if (c1 == std::string_view::npos || c2 == std::string_view::npos || c1 == 0 ||
-          c2 == c1 + 1) {
-        if (error != nullptr) {
-          *error = "line " + std::to_string(line_no) + ": expected row,col,value";
-        }
-        return std::nullopt;
-      }
-      const std::string value_text(line.substr(c2 + 1));
-      char* parsed_end = nullptr;
-      const double value = std::strtod(value_text.c_str(), &parsed_end);
-      if (value_text.empty() || parsed_end != value_text.c_str() + value_text.size()) {
-        if (error != nullptr) {
-          *error = "line " + std::to_string(line_no) + ": malformed value '" + value_text + "'";
-        }
-        return std::nullopt;
-      }
-      records.push_back(IngestRecord{std::string(line.substr(0, c1)),
-                                     std::string(line.substr(c1 + 1, c2 - c1 - 1)), value});
-    }
-    if (end == body.size()) break;
-    start = next;
-  }
-  return records;
 }
 
 std::optional<std::vector<IngestSpan>> parse_ingest_spans(std::string_view body,

@@ -36,16 +36,8 @@ class SmartFluxEngine;
 
 namespace smartflux::net {
 
-/// One parsed ingest record (an owned copy of a `row,col,value` line).
-struct IngestRecord {
-  std::string row;
-  std::string column;
-  double value = 0.0;
-};
-
-/// One `row,col,value` record of the zero-copy ingest path, as offsets into
-/// an arena string (the request body, moved — not copied — into the staged
-/// batch). Offsets rather than string_views: the arena is a std::string
+/// One `row,col,value` ingest record, as offsets into an arena string (the
+/// request body, moved — not copied — into the staged batch). Offsets rather than string_views: the arena is a std::string
 /// that gets moved between buffers, and a small-string move relocates the
 /// bytes, which would dangle any view taken earlier.
 struct IngestSpan {
@@ -63,7 +55,7 @@ struct IngestRefusal {
 };
 
 /// The bridge between the HTTP front-end and the wave engine: hundreds of
-/// connections stage rows concurrently (stage()/stage_spans(), called on
+/// connections stage rows concurrently (stage_spans(), called on
 /// the server's loop threads per request), and one pipelined engine drains
 /// them wave by wave through the existing WaveIngest path (make_ingest()
 /// feeds every staged table to Client::put_batch, one batch per table per
@@ -106,9 +98,9 @@ class IngestBridge {
     /// Staged-row ceiling across all tables; the local bound that holds
     /// even when no queue/health source is wired. 0 = unbounded.
     std::size_t max_staged_rows = 1 << 20;
-    /// Staged-byte ceiling (row + column text plus the value, or the whole
-    /// arena on the zero-copy path) — the row ceiling alone would let a few
-    /// huge-value rows blow past the memory budget unrefused. 0 = unbounded.
+    /// Staged-byte ceiling (the whole arena of every staged request) — the
+    /// row ceiling alone would let a few huge-value rows blow past the
+    /// memory budget unrefused. 0 = unbounded.
     std::size_t max_staged_bytes = 256u << 20;
     /// Idempotency keys remembered per stripe (FIFO window). A keyed POST
     /// whose key is inside the window re-acks without re-staging; beyond
@@ -157,25 +149,21 @@ class IngestBridge {
   std::optional<IngestRefusal> admission() const;
   void report_refusal();
 
-  /// Stages owned records for `table`; returns the total rows now staged.
-  /// Thread-safe; the records become visible to the next wave's ingest.
-  std::size_t stage(const std::string& table, std::vector<IngestRecord> records);
-
-  /// Zero-copy staging: takes the request body itself as the backing arena
-  /// (moved, one allocation-free handoff per request) plus the spans
-  /// parse_ingest_spans() cut from it. The drain resolves spans to
-  /// string_views over the arena and hands them straight to put_batch — the
-  /// row/column text is never copied between socket buffer and store.
+  /// Stages rows for `table`; returns the total rows now staged. Thread-safe;
+  /// the rows become visible to the next wave's ingest. Zero-copy: takes the
+  /// request body itself as the backing arena (moved, one allocation-free
+  /// handoff per request) plus the spans parse_ingest_spans() cut from it.
+  /// The drain resolves spans to string_views over the arena and hands them
+  /// straight to put_batch — the row/column text is never copied between
+  /// socket buffer and store.
   std::size_t stage_spans(const std::string& table, std::string arena,
                           std::vector<IngestSpan> spans);
 
-  /// Keyed (idempotent) variants: atomically check `key` against the dedupe
-  /// window and stage only when it is fresh. A duplicate returns
+  /// Keyed (idempotent) variant: atomically checks `key` against the dedupe
+  /// window and stages only when it is fresh. A duplicate returns
   /// {staged: 0, duplicate: true} — the gateway re-acks without re-staging.
-  /// With dedupe disabled (window 0 or empty key) these degrade to the
-  /// unkeyed calls.
-  StageOutcome stage_keyed(const std::string& table, std::string_view key,
-                           std::vector<IngestRecord> records);
+  /// With dedupe disabled (window 0 or empty key) this degrades to
+  /// stage_spans().
   StageOutcome stage_spans_keyed(const std::string& table, std::string_view key,
                                  std::string arena, std::vector<IngestSpan> spans);
 
@@ -207,11 +195,8 @@ class IngestBridge {
   Stats stats() const;
 
  private:
-  /// Everything staged for one table: legacy owned records and zero-copy
-  /// arena batches, drained together (records first — both paths append in
-  /// arrival order within themselves).
+  /// Everything staged for one table: arena batches in arrival order.
   struct TableStage {
-    std::vector<IngestRecord> records;
     std::vector<std::pair<std::string, std::vector<IngestSpan>>> batches;
     std::size_t rows = 0;
     std::size_t bytes = 0;
@@ -253,15 +238,10 @@ class IngestBridge {
   std::atomic<std::uint64_t> duplicates_total_{0};
 };
 
-/// Parses a newline-delimited `row,col,value` ingest body. Returns the
-/// records, or sets *error to a line-numbered message (1-based) on the
-/// first malformed line. Empty lines are skipped; value must parse fully as
-/// a double.
-std::optional<std::vector<IngestRecord>> parse_ingest_body(std::string_view body,
-                                                           std::string* error);
-
-/// Zero-copy variant of parse_ingest_body: the same grammar, but the output
-/// is offset spans into `body` instead of owned copies — nothing is
+/// Parses a newline-delimited `row,col,value` ingest body into offset spans
+/// over `body`. Returns the spans, or sets *error to a line-numbered message
+/// (1-based) on the first malformed line. A trailing CR is stripped and
+/// empty lines are skipped; value must parse fully as a double. Nothing is
 /// allocated per field, and the value parses via std::from_chars straight
 /// from the buffer. The caller keeps `body` alive (typically by moving it
 /// into IngestBridge::stage_spans as the arena).

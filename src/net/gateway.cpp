@@ -86,9 +86,9 @@ std::string idempotency_key(const Request& request) {
   return {};
 }
 
-void install_ingest(Router& router, IngestBridge* bridge, bool zero_copy) {
+void install_ingest(Router& router, IngestBridge* bridge) {
   router.add("POST", "/ingest/<table>",
-             [bridge, zero_copy](Request& request, const std::vector<std::string>& params) {
+             [bridge](Request& request, const std::vector<std::string>& params) {
                // A retry of already-accepted work is re-acked *before*
                // admission control: the rows are staged (or durable), so
                // bouncing the retry off a 503 would just make the client
@@ -102,28 +102,17 @@ void install_ingest(Router& router, IngestBridge* bridge, bool zero_copy) {
                  bridge->report_refusal();
                  return refusal_response(*refusal);
                }
+               // Cut spans over the body in place, then move the body itself
+               // into the bridge as the batch's arena — one staging call,
+               // zero per-row copies.
                std::string error;
-               if (zero_copy) {
-                 // Hot path: cut spans over the body in place, then move the
-                 // body itself into the bridge as the batch's arena — one
-                 // staging call, zero per-row copies.
-                 auto spans = parse_ingest_spans(request.body, &error);
-                 if (!spans) {
-                   return json_response(400, "{\"error\":\"" + obs::json_escape(error) + "\"}\n");
-                 }
-                 const std::size_t count = spans->size();
-                 const IngestBridge::StageOutcome outcome = bridge->stage_spans_keyed(
-                     params[0], key, std::move(request.body), std::move(*spans));
-                 if (outcome.duplicate) return duplicate_response();
-                 return accepted_response(count, bridge->staged_rows());
-               }
-               auto records = parse_ingest_body(request.body, &error);
-               if (!records) {
+               auto spans = parse_ingest_spans(request.body, &error);
+               if (!spans) {
                  return json_response(400, "{\"error\":\"" + obs::json_escape(error) + "\"}\n");
                }
-               const std::size_t count = records->size();
-               const IngestBridge::StageOutcome outcome =
-                   bridge->stage_keyed(params[0], key, std::move(*records));
+               const std::size_t count = spans->size();
+               const IngestBridge::StageOutcome outcome = bridge->stage_spans_keyed(
+                   params[0], key, std::move(request.body), std::move(*spans));
                if (outcome.duplicate) return duplicate_response();
                return accepted_response(count, bridge->staged_rows());
              });
@@ -327,7 +316,7 @@ void install_metrics(Router& router, obs::MetricsRegistry* registry) {
 Router make_gateway_router(GatewayOptions options) {
   Router router;
   if (options.ingest != nullptr) {
-    install_ingest(router, options.ingest, options.zero_copy_ingest);
+    install_ingest(router, options.ingest);
   }
   if (options.store != nullptr) install_reads(router, options.store);
   if (options.workflow_steps != nullptr) {

@@ -30,14 +30,11 @@ struct GatewayOptions {
   /// (DataStore is internally thread-safe, so reads run on the server loop
   /// thread concurrently with engine waves without blocking ingest).
   ds::DataStore* store = nullptr;
-  /// POST /ingest/<table> — newline-delimited `row,col,value` records.
+  /// POST /ingest/<table> — newline-delimited `row,col,value` records,
+  /// parsed in place as spans over the request body; the body itself is
+  /// moved into the bridge as the backing arena, so no row text is copied
+  /// between socket buffer and store.
   IngestBridge* ingest = nullptr;
-  /// Ingest body handling. true (default): lines are parsed in place as
-  /// spans over the request body and the body itself is moved into the
-  /// bridge as the backing arena — no per-row string copies between socket
-  /// buffer and store. false: the legacy owned-record path (kept as the
-  /// benchmark baseline and as a fallback switch).
-  bool zero_copy_ingest = true;
   /// GET /metrics — Prometheus text exposition of the registry.
   obs::MetricsRegistry* metrics = nullptr;
   /// GET /status — health/phase fields (otherwise reported as "unknown").

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -26,6 +27,12 @@ namespace smartflux::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Bytes the kernel holds for `fd` that the server has not read yet.
+int unread_bytes(int fd) {
+  int n = 0;
+  return ::ioctl(fd, FIONREAD, &n) == 0 ? n : 0;
+}
 
 /// Iovec fan-out per sendmsg call; a queue deeper than this just takes
 /// another syscall on the next flush round.
@@ -299,19 +306,28 @@ void Server::sweep_idle(Loop& loop) {
 
   if (draining) {
     // Stop accepting: close our own listener, or hand back the shared one
-    // (the last loop out closes the fd).
+    // (the last loop out closes the fd). Accept the backlog first — those
+    // clients completed the handshake and may already have sent a request
+    // the kernel holds, which closing the listener would reset unanswered.
     if (loop.listen_fd >= 0) {
+      on_accept(loop);
       loop.loop.unwatch(loop.listen_fd);
       ::close(loop.listen_fd);
       loop.listen_fd = -1;
+      loops_not_accepting_.fetch_add(1, std::memory_order_acq_rel);
     } else {
       // Shared fallback: every loop watches the one fd, so each unwatches
       // its own interest and the last one out closes it. accept_mutex_
-      // orders this against concurrent accepts and the peers' sweeps.
-      std::lock_guard lock(accept_mutex_);
+      // orders this against concurrent accepts and the peers' sweeps; it
+      // is released around on_accept, which takes it per accept. The fd
+      // cannot close meanwhile: this loop has not unwatched it yet.
+      std::unique_lock lock(accept_mutex_);
       if (shared_listen_fd_ >= 0 && loop.loop.watching(shared_listen_fd_)) {
+        lock.unlock();
+        on_accept(loop);
+        lock.lock();
         loop.loop.unwatch(shared_listen_fd_);
-        if (shared_unwatched_.fetch_add(1, std::memory_order_acq_rel) + 1 == loops_.size()) {
+        if (loops_not_accepting_.fetch_add(1, std::memory_order_acq_rel) + 1 == loops_.size()) {
           ::close(shared_listen_fd_);
           shared_listen_fd_ = -1;
         }
@@ -329,9 +345,11 @@ void Server::sweep_idle(Loop& loop) {
     if (options_.request_read_timeout_ms > 0 && conn->mid_request &&
         now - conn->request_start > read_timeout) {
       read_expired.push_back(fd);
-    } else if (draining && conn->out_bytes == 0 && !conn->stream && !conn->mid_request) {
-      // Keep-alive connection idle at a request boundary: nothing is owed
-      // either way, so the drain ends it now.
+    } else if (draining && conn->out_bytes == 0 && !conn->stream && !conn->mid_request &&
+               unread_bytes(fd) == 0) {
+      // Keep-alive connection idle at a request boundary, with no request
+      // bytes waiting in the socket either: nothing is owed either way, so
+      // the drain ends it now.
       drain_quiet.push_back(fd);
     } else if (options_.idle_timeout_ms > 0 && now - conn->last_activity > idle_timeout) {
       idle_expired.push_back(fd);
@@ -389,7 +407,7 @@ void Server::stop() {
   }
   total_connections_.store(0, std::memory_order_relaxed);
   draining_.store(false, std::memory_order_release);
-  shared_unwatched_.store(0, std::memory_order_relaxed);
+  loops_not_accepting_.store(0, std::memory_order_relaxed);
   if (metrics_->m_active != nullptr) metrics_->m_active->set(0.0);
 }
 
@@ -399,14 +417,18 @@ bool Server::drain(std::size_t deadline_ms, const std::function<void()>& flush) 
     return true;
   }
   draining_.store(true, std::memory_order_release);
-  // The loop threads do the actual work on their sweep tick: close the
-  // listeners, refuse late accepts, mark keep-alive responses
+  // The loop threads do the actual work on their sweep tick: accept the
+  // listeners' backlog and close them, mark keep-alive responses
   // `Connection: close`, reap connections as they go quiet. This thread
-  // just waits for the population to hit zero (or the deadline).
+  // just waits for every loop to stop accepting and the population to hit
+  // zero (or the deadline).
   const auto deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
+  const auto quiet = [&] {
+    return loops_not_accepting_.load(std::memory_order_acquire) == loops_.size() &&
+           total_connections_.load(std::memory_order_acquire) == 0;
+  };
   bool quiesced;
-  while (!(quiesced = total_connections_.load(std::memory_order_acquire) == 0) &&
-         Clock::now() < deadline) {
+  while (!(quiesced = quiet()) && Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   if (!quiesced) {
@@ -462,19 +484,13 @@ void Server::on_accept(Loop& loop) {
       SF_LOG_WARN("net") << "accept failed: " << std::strerror(errno);
       return;
     }
-    if (draining_.load(std::memory_order_acquire)) {
-      // Late arrival in the window before the sweep closes the listener:
-      // refuse outright rather than admit work the drain will abandon.
-      ::close(fd);
-      loop.refused.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_->m_refused != nullptr) metrics_->m_refused->inc();
-      continue;
-    }
     if (total_connections_.fetch_add(1, std::memory_order_relaxed) >= options_.max_connections) {
       total_connections_.fetch_sub(1, std::memory_order_relaxed);
-      ::close(fd);
+      // Count before closing: the client may observe the close (EOF) and
+      // read stats() right away.
       loop.refused.fetch_add(1, std::memory_order_relaxed);
       if (metrics_->m_refused != nullptr) metrics_->m_refused->inc();
+      ::close(fd);
       continue;
     }
     set_nonblocking_fd(fd);

@@ -120,10 +120,11 @@ class Server {
   /// drain() first for a graceful end.
   void stop();
 
-  /// Graceful shutdown: stops accepting (listeners close within one sweep
-  /// tick), reaps idle keep-alive connections, answers in-flight requests
-  /// with `Connection: close`, and lets active streaming responses run to
-  /// their final chunk. Once every connection has drained — or
+  /// Graceful shutdown: stops accepting (within one sweep tick each
+  /// listener's backlog is accepted and the listener closed), reaps idle
+  /// keep-alive connections with no request bytes pending, answers
+  /// in-flight requests with `Connection: close`, and lets active streaming
+  /// responses run to their final chunk. Once every connection has drained — or
   /// `deadline_ms` elapsed, whichever comes first — the loops stop
   /// (stragglers are aborted), and then `flush` (optional) runs from the
   /// calling thread: the hook where the application drains its staged
@@ -182,9 +183,11 @@ class Server {
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  /// Loops that already unwatched the shared listener during drain; the
-  /// last one closes the fd.
-  std::atomic<std::size_t> shared_unwatched_{0};
+  /// Loops that stopped accepting during drain (backlog accepted, listener
+  /// closed or the shared one unwatched). With a shared listener the last
+  /// one closes the fd; drain() counts connections only once every loop is
+  /// in, since until then the backlog may hold connections it cannot see.
+  std::atomic<std::size_t> loops_not_accepting_{0};
   std::atomic<std::uint16_t> port_{0};
   std::atomic<bool> reuse_port_active_{false};
   /// Global connection count (the max_connections bound spans all loops).

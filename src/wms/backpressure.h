@@ -35,6 +35,13 @@ struct PressureOptions {
   std::size_t low_watermark = 0;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
 
+  /// Pipelined ingest `depth` waves ahead of the computing wave: the window
+  /// holds the computing wave plus `depth` ingested ones, and reopens as
+  /// soon as the computing wave finishes.
+  static constexpr PressureOptions ahead(std::size_t depth) noexcept {
+    return {.high_watermark = depth + 1, .low_watermark = depth};
+  }
+
   bool enabled() const noexcept { return high_watermark > 0; }
   std::size_t resume_depth() const noexcept {
     if (!enabled()) return 0;

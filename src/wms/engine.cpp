@@ -1,7 +1,6 @@
 #include "wms/engine.h"
 
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <thread>
 
@@ -594,103 +593,6 @@ std::vector<WaveResult> WorkflowEngine::run_waves(ds::Timestamp first, std::size
   return out;
 }
 
-std::vector<WaveResult> WorkflowEngine::run_waves_pipelined(ds::Timestamp first,
-                                                            std::size_t count,
-                                                            TriggerController& controller,
-                                                            const WaveIngest& ingest,
-                                                            std::size_t depth) {
-  SF_CHECK(static_cast<bool>(ingest), "ingest must be callable");
-  if (depth == 0) throw InvalidArgument("pipeline depth must be >= 1");
-  if (depth + 1 > store_->max_versions()) {
-    throw InvalidArgument("pipeline depth " + std::to_string(depth) +
-                          " needs a store with max_versions >= " + std::to_string(depth + 1) +
-                          " (got " + std::to_string(store_->max_versions()) +
-                          "): a step at wave w must still see its own wave past " +
-                          std::to_string(depth) + " newer ingested versions");
-  }
-  std::vector<WaveResult> out;
-  out.reserve(count);
-  if (count == 0) return out;
-
-  // One ingest worker: ingests stay serialized in wave order (two concurrent
-  // ingests of the same cell would race on per-cell timestamp monotonicity),
-  // while the main thread computes earlier waves.
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<ds::Timestamp> todo;                    // waves awaiting ingest, in order
-  std::map<ds::Timestamp, std::exception_ptr> done;  // wave -> ingest error (null = ok)
-  bool stop = false;
-
-  std::thread worker([&] {
-    for (;;) {
-      ds::Timestamp wave;
-      {
-        std::unique_lock lock(mutex);
-        cv.wait(lock, [&] { return stop || !todo.empty(); });
-        if (stop) return;
-        wave = todo.front();
-        todo.pop_front();
-      }
-      std::exception_ptr error;
-      try {
-        ds::Client client(*store_, wave);
-        ingest(client, wave);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      {
-        std::lock_guard lock(mutex);
-        done.emplace(wave, error);
-      }
-      cv.notify_all();
-    }
-  });
-  // Joins on every exit path (including a propagating step failure thrown
-  // from run_wave below); queued-but-unstarted ingests are abandoned.
-  struct StopAndJoin {
-    std::thread& worker;
-    std::mutex& mutex;
-    std::condition_variable& cv;
-    bool& stop;
-    ~StopAndJoin() {
-      {
-        std::lock_guard lock(mutex);
-        stop = true;
-      }
-      cv.notify_all();
-      worker.join();
-    }
-  } join_guard{worker, mutex, cv, stop};
-
-  std::size_t enqueued = 0;
-  const auto enqueue_through = [&](std::size_t waves) {
-    const std::size_t limit = std::min(waves, count);
-    if (enqueued >= limit) return;
-    {
-      std::lock_guard lock(mutex);
-      for (; enqueued < limit; ++enqueued) todo.push_back(first + enqueued);
-    }
-    cv.notify_all();
-  };
-
-  for (std::size_t k = 0; k < count; ++k) {
-    const ds::Timestamp wave = first + static_cast<ds::Timestamp>(k);
-    // Keep the pipeline primed `depth` waves past the one about to compute
-    // (k+1 covers the wave itself).
-    enqueue_through(k + 1 + depth);
-    std::exception_ptr ingest_error;
-    {
-      std::unique_lock lock(mutex);
-      cv.wait(lock, [&] { return done.count(wave) != 0; });
-      ingest_error = done.at(wave);
-      done.erase(wave);
-    }
-    if (ingest_error) std::rethrow_exception(ingest_error);
-    out.push_back(run_wave(wave, controller));
-  }
-  return out;
-}
-
 WaveResult WorkflowEngine::shed_wave(ds::Timestamp wave) {
   if (last_wave_ && wave <= *last_wave_) {
     throw InvalidArgument("waves must be strictly increasing (got " + std::to_string(wave) +
@@ -724,7 +626,7 @@ std::vector<WaveResult> WorkflowEngine::run_waves_pipelined(ds::Timestamp first,
                                                             PressureStats* stats_out) {
   SF_CHECK(static_cast<bool>(ingest), "ingest must be callable");
   if (!pressure.enabled()) {
-    throw InvalidArgument("pressured pipelining needs high_watermark >= 1");
+    throw InvalidArgument("pipelining needs high_watermark >= 1");
   }
   if (pressure.high_watermark > store_->max_versions()) {
     throw InvalidArgument("high_watermark " + std::to_string(pressure.high_watermark) +

@@ -188,34 +188,31 @@ class WorkflowEngine {
                                     TriggerController& controller);
 
   /// Pipelined variant of run_waves: a dedicated ingest thread runs
-  /// `ingest(client, w)` for up to `depth` waves ahead of the wave currently
-  /// computing, so wave w+1's feed lands in the store while wave w's steps
-  /// execute. Wave w never starts before its own ingest completed, and
-  /// ingests run strictly one at a time in wave order. Because steps read
-  /// as-of their wave (Client::get/scan), compute at wave w is blind to the
-  /// ingest of w+1 — but the store must retain enough history:
-  /// requires store.max_versions() >= depth + 1 (throws InvalidArgument
-  /// otherwise, and when depth == 0). An ingest failure for wave w surfaces
-  /// from this call before wave w runs; already-completed waves' results are
-  /// lost with the exception, matching run_waves.
-  std::vector<WaveResult> run_waves_pipelined(ds::Timestamp first, std::size_t count,
-                                              TriggerController& controller,
-                                              const WaveIngest& ingest, std::size_t depth = 1);
-
-  /// Backpressured variant: the ingest worker produces waves as fast as it
-  /// can, but admission into the ingested-not-yet-computed window is bounded
-  /// by `pressure` (high/low watermarks). Under OverflowPolicy::kBlock the
-  /// producer stalls until compute drains the window to the low watermark;
-  /// under kShed a refused wave's feed is never written and the wave is
-  /// journaled as shed via shed_wave() — dropped accountably, never lost.
+  /// `ingest(client, w)` ahead of the wave currently computing, so wave
+  /// w+1's feed lands in the store while wave w's steps execute. Wave w never
+  /// starts before its own ingest completed, and ingests run strictly one at
+  /// a time in wave order. Because steps read as-of their wave
+  /// (Client::get/scan), compute at wave w is blind to later ingests — but
+  /// the store must retain enough history.
+  ///
+  /// Admission into the ingested-not-yet-computed window (the computing wave
+  /// included) is bounded by `pressure` (high/low watermarks):
+  /// PressureOptions::ahead(d) runs d waves ahead, and the default is one.
+  /// Under OverflowPolicy::kBlock the producer stalls until compute drains
+  /// the window to the low watermark; under kShed a refused wave's feed is
+  /// never written and the wave is journaled as shed via shed_wave() —
+  /// dropped accountably, never lost.
+  ///
   /// Requires pressure.enabled() and store.max_versions() >=
-  /// pressure.high_watermark (at most high-1 newer versions land while a
-  /// wave computes). Lifetime queue counters land in *stats_out when given.
-  std::vector<WaveResult> run_waves_pipelined(ds::Timestamp first, std::size_t count,
-                                              TriggerController& controller,
-                                              const WaveIngest& ingest,
-                                              const PressureOptions& pressure,
-                                              PressureStats* stats_out = nullptr);
+  /// pressure.high_watermark (throws InvalidArgument otherwise). An ingest
+  /// failure for wave w surfaces from this call before wave w runs;
+  /// already-completed waves' results are lost with the exception, matching
+  /// run_waves. Lifetime queue counters land in *stats_out when given.
+  std::vector<WaveResult> run_waves_pipelined(
+      ds::Timestamp first, std::size_t count, TriggerController& controller,
+      const WaveIngest& ingest,
+      const PressureOptions& pressure = PressureOptions::ahead(1),
+      PressureStats* stats_out = nullptr);
 
   /// Sheds one wave under overload: no step runs, every step is journaled as
   /// kSkipped and the wave commits to the store, so recovery replays it as a

@@ -1,7 +1,6 @@
 #include "wms/scheduler.h"
 
 #include "common/error.h"
-#include "datastore/client.h"
 
 namespace smartflux::wms {
 
@@ -49,26 +48,6 @@ WaveDriver::WaveDriver(WorkflowEngine& engine, TriggerController& controller,
   }
 }
 
-void WaveDriver::enable_pipelining(WaveIngest ingest) {
-  SF_CHECK(static_cast<bool>(ingest), "ingest must be callable");
-  if (engine_->store().max_versions() < 2) {
-    throw InvalidArgument("pipelined ingest needs a store with max_versions >= 2 (got " +
-                          std::to_string(engine_->store().max_versions()) + ")");
-  }
-  ingest_ = std::move(ingest);
-}
-
-void WaveDriver::ensure_ingested(ds::Timestamp wave) {
-  if (prefetch_.valid() && prefetched_wave_ == wave) {
-    prefetch_.get();  // rethrows the prefetched ingest's failure, if any
-    return;
-  }
-  // Not prefetched (first wave of a run, or the previous prefetch failed and
-  // was consumed): ingest inline.
-  ds::Client client(engine_->store(), wave);
-  ingest_(client, wave);
-}
-
 std::vector<WaveResult> WaveDriver::poll(const SimulatedClock& clock) {
   // Bound the batch by the count due on entry: a wave's own writes may re-arm
   // a data-availability source, which must surface at the *next* poll rather
@@ -81,15 +60,6 @@ std::vector<WaveResult> WaveDriver::poll(const SimulatedClock& clock) {
     // them now only delays the waves that still matter. Each shed re-arms
     // the source like a started wave would.
     for (std::size_t excess = due - catchup_.budget; excess > 0; --excess) {
-      if (prefetch_.valid() && prefetched_wave_ == next_wave_) {
-        // The feed was prefetched for a wave we now drop; consume the future
-        // so a failed prefetch can't leak into a later wave's slot.
-        try {
-          prefetch_.get();
-        } catch (...) {
-          // Shed wave: its ingest outcome is irrelevant.
-        }
-      }
       source_->on_wave_started(clock.now());
       out.push_back(engine_->shed_wave(next_wave_++));
       ++waves_shed_;
@@ -97,16 +67,6 @@ std::vector<WaveResult> WaveDriver::poll(const SimulatedClock& clock) {
     due = catchup_.budget;
   }
   for (std::size_t k = 0; k < due; ++k) {
-    if (ingest_) {
-      // Ingest failures surface before the wave is consumed: the source is
-      // not re-armed and next_wave_ is unchanged, so the wave stays due.
-      ensure_ingested(next_wave_);
-      prefetched_wave_ = next_wave_ + 1;
-      prefetch_ = std::async(std::launch::async, [this, wave = prefetched_wave_] {
-        ds::Client client(engine_->store(), wave);
-        ingest_(client, wave);
-      });
-    }
     source_->on_wave_started(clock.now());
     out.push_back(engine_->run_wave(next_wave_++, *controller_));
     ++waves_run_;

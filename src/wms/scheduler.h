@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -102,24 +101,10 @@ class WaveDriver {
   /// Waves shed by catch-up so far (not counted in waves_run()).
   std::size_t waves_shed() const noexcept { return waves_shed_; }
 
-  /// Enables one-wave-deep pipelined ingest: before wave w runs, its feed is
-  /// guaranteed ingested (via `ingest`), and the ingest for wave w+1 is
-  /// kicked off on a background thread so it overlaps wave w's compute.
-  /// Requires the engine's store to retain max_versions() >= 2 (steps read
-  /// as-of their wave, so the prefetched version never shadows the current
-  /// one). Same write-disjointness contract as WorkflowEngine's
-  /// run_waves_pipelined. If an ingest throws, the exception surfaces from
-  /// poll() before the wave starts and the wave stays due for the next poll.
-  void enable_pipelining(WaveIngest ingest);
-
   ds::Timestamp next_wave() const noexcept { return next_wave_; }
   std::size_t waves_run() const noexcept { return waves_run_; }
 
  private:
-  /// Blocks until ingest(wave) completed — joining the prefetch if it covers
-  /// this wave, running it inline otherwise.
-  void ensure_ingested(ds::Timestamp wave);
-
   WorkflowEngine* engine_;
   TriggerController* controller_;
   std::unique_ptr<WaveSource> source_;
@@ -127,11 +112,6 @@ class WaveDriver {
   std::size_t waves_run_ = 0;
   std::size_t waves_shed_ = 0;
   CatchupPolicy catchup_;
-  WaveIngest ingest_;  ///< empty = pipelining disabled
-  /// In-flight prefetch (std::async): the future's destructor joins it, so a
-  /// driver destroyed mid-prefetch never leaves a dangling ingest thread.
-  std::future<void> prefetch_;
-  ds::Timestamp prefetched_wave_ = 0;
 };
 
 }  // namespace smartflux::wms

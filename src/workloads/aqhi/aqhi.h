@@ -38,9 +38,8 @@ class AqhiWorkload {
 
   /// Compute-only variant for pipelined execution: steps 2..5 with no 1_feed
   /// — the sensor batch arrives out-of-band via make_ingest() before each
-  /// wave (WorkflowEngine::run_waves_pipelined /
-  /// WaveDriver::enable_pipelining), so wave w+1's feed overlaps wave w's
-  /// compute. Both variants write identical data for the same waves.
+  /// wave (WorkflowEngine::run_waves_pipelined), so wave w+1's feed overlaps
+  /// wave w's compute. Both variants write identical data for the same waves.
   wms::WorkflowSpec make_compute_workflow() const;
 
   /// The 1_feed body as a pipeline ingest callback: writes wave w's full

@@ -182,34 +182,6 @@ TEST(ForestPersistence2, FullOptionsRoundTrip) {
   EXPECT_EQ(save_bytes(refit_original), save_bytes(refit_loaded));
 }
 
-TEST(ForestPersistence2, LegacyHeaderStillLoads) {
-  const Dataset data = make_noisy_blobs(300, 3, 9);
-  RandomForest forest(ForestOptions{.num_trees = 4, .decision_threshold = 0.4}, 12);
-  forest.fit(data);
-
-  std::stringstream ss;
-  forest.save(ss);
-  std::string text = ss.str();
-  // Rewrite the v2 header into the legacy 5-field "forest" header.
-  const std::size_t eol = text.find('\n');
-  ASSERT_NE(eol, std::string::npos);
-  std::istringstream header(text.substr(0, eol));
-  std::string magic, trees, classes, threshold, oob;
-  header >> magic >> trees >> classes >> threshold >> oob;
-  ASSERT_EQ(magic, "forest2");
-  std::stringstream legacy("forest " + trees + ' ' + classes + ' ' + threshold + ' ' + oob +
-                           text.substr(eol));
-  const RandomForest loaded = RandomForest::load(legacy);
-  EXPECT_EQ(loaded.num_trees(), 4u);
-  EXPECT_EQ(loaded.options().decision_threshold, 0.4);
-  Rng rng(10);
-  std::vector<double> x(3);
-  for (int i = 0; i < 100; ++i) {
-    for (auto& v : x) v = rng.uniform(-2.0, 3.0);
-    ASSERT_EQ(loaded.predict_score(x), forest.predict_score(x));
-  }
-}
-
 TEST(BinaryRelevanceBatch, MatchesScalarPredictions) {
   Rng rng(11);
   MultiLabelDataset data(3, 3);

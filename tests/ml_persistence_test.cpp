@@ -103,10 +103,27 @@ TEST(ForestPersistence, SaveUnfittedThrows) {
 TEST(ForestPersistence, LoadRejectsGarbage) {
   std::stringstream empty;
   EXPECT_THROW(RandomForest::load(empty), smartflux::InvalidArgument);
-  std::stringstream zero_trees("forest 0 2 0.5 0.9\n");
+  std::stringstream zero_trees("forest2 0 2 0.5 0.9 1 12 1 2 0 1\n");
   EXPECT_THROW(RandomForest::load(zero_trees), smartflux::InvalidArgument);
-  std::stringstream missing_trees("forest 2 2 0.5 0.9\n");
+  std::stringstream missing_trees("forest2 2 2 0.5 0.9 1 12 1 2 0 1\n");
   EXPECT_THROW(RandomForest::load(missing_trees), smartflux::InvalidArgument);
+  std::stringstream short_header("forest2 2 2 0.5 0.9\n");
+  EXPECT_THROW(RandomForest::load(short_header), smartflux::InvalidArgument);
+
+  // Unknown magic throws even when the rest of the stream is well formed —
+  // including the retired v1 "forest" header.
+  RandomForest forest(ForestOptions{.num_trees = 2}, 3);
+  forest.fit(make_blobs(40, 2.0, 4));
+  std::stringstream saved;
+  forest.save(saved);
+  const std::string text = saved.str();
+  ASSERT_EQ(text.rfind("forest2 ", 0), 0u);
+  for (const char* magic : {"forest", "forest3", "tree"}) {
+    std::stringstream renamed(magic + text.substr(text.find(' ')));
+    EXPECT_THROW(RandomForest::load(renamed), smartflux::InvalidArgument) << magic;
+  }
+  std::stringstream intact(text);
+  EXPECT_EQ(RandomForest::load(intact).num_trees(), 2u);
 }
 
 }  // namespace

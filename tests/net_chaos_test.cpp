@@ -59,6 +59,27 @@ struct Stack {
   std::unique_ptr<Server> server;
 };
 
+/// Polls `done` until it holds or `timeout_ms` passes; returns its last value.
+template <typename Pred>
+bool eventually(Pred done, int timeout_ms = 5'000) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Keyed staging of a `row,col,value` body, the way the gateway stages one
+/// POST: spans cut over the body, the body moved in as their arena.
+IngestBridge::StageOutcome stage_body_keyed(IngestBridge& bridge, const std::string& table,
+                                            std::string_view key, std::string body) {
+  auto spans = parse_ingest_spans(body, nullptr);
+  EXPECT_TRUE(spans.has_value()) << body;
+  if (!spans) return {};
+  return bridge.stage_spans_keyed(table, key, std::move(body), std::move(*spans));
+}
+
 // --- Idempotent retries ----------------------------------------------------
 
 TEST(NetIdempotency, DuplicateKeyReacksWithoutRestaging) {
@@ -120,15 +141,15 @@ TEST(NetIdempotency, WindowEvictionForgetsOldKeys) {
   options.dedupe_table.clear();  // memory-only; eviction is what's under test
   IngestBridge bridge(options);
 
-  EXPECT_FALSE(bridge.stage_keyed("t", "k1", {{"r1", "c", 1.0}}).duplicate);
-  EXPECT_FALSE(bridge.stage_keyed("t", "k2", {{"r2", "c", 2.0}}).duplicate);
-  EXPECT_TRUE(bridge.stage_keyed("t", "k1", {{"r1", "c", 1.0}}).duplicate);
+  EXPECT_FALSE(stage_body_keyed(bridge, "t", "k1", "r1,c,1\n").duplicate);
+  EXPECT_FALSE(stage_body_keyed(bridge, "t", "k2", "r2,c,2\n").duplicate);
+  EXPECT_TRUE(stage_body_keyed(bridge, "t", "k1", "r1,c,1\n").duplicate);
 
   // k3 evicts k1 (FIFO window of 2); a k1 retry now re-stages.
-  EXPECT_FALSE(bridge.stage_keyed("t", "k3", {{"r3", "c", 3.0}}).duplicate);
+  EXPECT_FALSE(stage_body_keyed(bridge, "t", "k3", "r3,c,3\n").duplicate);
   EXPECT_FALSE(bridge.is_duplicate("t", "k1"));
   EXPECT_TRUE(bridge.is_duplicate("t", "k3"));
-  EXPECT_FALSE(bridge.stage_keyed("t", "k1", {{"r1", "c", 1.0}}).duplicate);
+  EXPECT_FALSE(stage_body_keyed(bridge, "t", "k1", "r1,c,1\n").duplicate);
 }
 
 // The crash matrix, extended with the kill-between-ack-and-commit window:
@@ -152,9 +173,7 @@ TEST(NetIdempotency, KeysSurviveCrashRecoverAtEveryKillPoint) {
     store->enable_durability(dir, dur);
     IngestBridge bridge;
 
-    ASSERT_FALSE(bridge.stage_keyed("sensors", "k0",
-                                    {{"r1", "o3", 1.5}, {"r2", "o3", 2.5}})
-                     .duplicate);
+    ASSERT_FALSE(stage_body_keyed(bridge, "sensors", "k0", "r1,o3,1.5\nr2,o3,2.5\n").duplicate);
     // 202 went out here; the crash lands between that ack and the commit.
     faults.add_disk_rule({.kind = DiskFaultKind::kCrash,
                           .file_tag = "wal",
@@ -186,9 +205,8 @@ TEST(NetIdempotency, KeysSurviveCrashRecoverAtEveryKillPoint) {
     } else {
       // Replay re-stages; the re-drain at the recovered wave overwrites any
       // torn pre-crash appends at the same timestamp.
-      EXPECT_FALSE(recovered.stage_keyed("sensors", "k0",
-                                         {{"r1", "o3", 1.5}, {"r2", "o3", 2.5}})
-                       .duplicate);
+      EXPECT_FALSE(
+          stage_body_keyed(recovered, "sensors", "k0", "r1,o3,1.5\nr2,o3,2.5\n").duplicate);
     }
     {
       ds::Client client(*store, resume);
@@ -237,9 +255,10 @@ TEST(NetDrain, InFlightRequestAnsweredWithConnectionClose) {
   client.send_raw("POST /ingest/sensors HTTP/1.1\r\nContent-Length: 10\r\n\r\nr1,o3");
 
   std::atomic<bool> drained{false};
-  std::thread drainer([&] { drained.store(stack.server->drain(5'000, {})); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_TRUE(stack.server->draining());
+  // jthread: joined on every path, so a failed read reports instead of
+  // aborting on a joinable thread.
+  std::jthread drainer([&] { drained.store(stack.server->drain(5'000, {})); });
+  EXPECT_TRUE(eventually([&] { return stack.server->draining(); }));
   client.send_raw(",4.5\n");
 
   const ClientResponse response = client.read_response();
@@ -265,7 +284,7 @@ TEST(NetDrain, DrainCompletesActivelyReadStream) {
   Client client = stack.connect();
   client.send_request("GET", "/scan?table=big&stream=1");
   std::atomic<bool> drained{false};
-  std::thread drainer([&] { drained.store(stack.server->drain(10'000, {})); });
+  std::jthread drainer([&] { drained.store(stack.server->drain(10'000, {})); });
   const ClientResponse response = client.read_response();  // reads to the final chunk
   EXPECT_EQ(response.status, 200);
   EXPECT_TRUE(response.chunked);
@@ -274,6 +293,53 @@ TEST(NetDrain, DrainCompletesActivelyReadStream) {
   const ServerStats stats = stack.server->stats();
   EXPECT_GE(stats.streams_completed, 1u);
   EXPECT_EQ(stats.streams_aborted, 0u);
+}
+
+// Regression: a request the kernel already holds when the drain begins —
+// its connection still in the listener backlog, its bytes unread — must be
+// answered, not reset. A handler parks the only loop thread, so the second
+// client's connection and request are guaranteed to sit in the kernel when
+// the drain's first sweep runs: the sweep accepts the backlog, and the
+// pending bytes keep the new connection from counting as drain-quiet.
+TEST(NetDrain, RequestHeldByKernelAtDrainIsAnswered) {
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  Router router;
+  router.add("GET", "/park", [&](const Request&, const std::vector<std::string>&) {
+    parked.store(true);
+    eventually([&] { return release.load(); });  // bounded: never wedges the loop
+    return text_response(200, "parked");
+  });
+  router.add("GET", "/ping", [](const Request&, const std::vector<std::string>&) {
+    return text_response(200, "pong");
+  });
+  ServerOptions options;
+  options.loop_threads = 1;
+  Server server(std::move(router), options);
+  server.start();
+
+  Client first(server.port());
+  first.send_request("GET", "/park");
+  ASSERT_TRUE(eventually([&] { return parked.load(); }));
+  // The loop thread is parked: this connection stays in the backlog and its
+  // request in the kernel's receive queue.
+  Client second(server.port());
+  second.send_request("GET", "/ping");
+
+  std::atomic<bool> drained{false};
+  std::jthread drainer([&] { drained.store(server.drain(5'000)); });
+  EXPECT_TRUE(eventually([&] { return server.draining(); }));
+  release.store(true);
+
+  EXPECT_EQ(first.read_response().status, 200);
+  const ClientResponse response = second.read_response();
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "pong");
+  ASSERT_NE(response.header("Connection"), nullptr);
+  EXPECT_EQ(*response.header("Connection"), "close");
+  drainer.join();
+  EXPECT_TRUE(drained.load());
+  EXPECT_EQ(server.stats().connections_refused, 0u);
 }
 
 TEST(NetDrain, StopAbortsUnreadStreamWithoutLeaking) {

@@ -117,10 +117,10 @@ TEST_F(GatewayServerTest, StagingCeilingRefuses) {
   IngestBridge::Options options;
   options.max_staged_rows = 2;
   IngestBridge bounded(options);
-  std::vector<IngestRecord> rows;
-  rows.push_back({"r1", "c", 1.0});
-  rows.push_back({"r2", "c", 2.0});
-  bounded.stage("t", std::move(rows));
+  std::string body = "r1,c,1\nr2,c,2\n";
+  auto spans = parse_ingest_spans(body, nullptr);
+  ASSERT_TRUE(spans.has_value());
+  bounded.stage_spans("t", std::move(body), std::move(*spans));
   const auto refusal = bounded.admission();
   ASSERT_TRUE(refusal.has_value());
   EXPECT_EQ(refusal->reason, "staging-full");

@@ -5,8 +5,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -220,6 +224,11 @@ TEST_F(NetServerMultiLoop, ServesConcurrentClientsAcrossLoops) {
   bridge_.make_ingest()(ds_client, 1);
   EXPECT_EQ(bridge_.staged_rows(), 0u);
   EXPECT_EQ(bridge_.stats().rows_ingested, static_cast<std::uint64_t>(kClients * kRequests));
+  // A drained cell reads back over HTTP, and the load caused no protocol
+  // trouble.
+  EXPECT_EQ(connect().request("GET", "/get?table=t0&row=row&col=col").status, 200);
+  EXPECT_EQ(server_->stats().parse_errors, 0u);
+  EXPECT_EQ(server_->stats().slow_disconnects, 0u);
 }
 
 TEST_F(NetServerMultiLoop, SharedListenerFallbackStillServes) {
@@ -319,53 +328,140 @@ TEST(NetWritev, PipelinedResponsesShareOneQueue) {
 
 // --- zero-copy ingest -----------------------------------------------------
 
-TEST(NetIngestSpans, SpanParseMatchesRecordParse) {
-  const std::string body = "r1,c1,3.5\r\nr2,c2,-0.25\n\nrow3,col3,1e3\n";
+/// One `row,col,value` line as owned copies — the reference parser's output.
+struct IngestRecord {
+  std::string row;
+  std::string column;
+  double value = 0.0;
+};
+
+/// Reference parser for the ingest grammar: owned copies and strtod, kept
+/// small and obviously correct as the differential oracle for
+/// parse_ingest_spans (same diagnostics, same 1-based line numbers).
+std::optional<std::vector<IngestRecord>> parse_ingest_body(std::string_view body,
+                                                           std::string* error) {
+  std::vector<IngestRecord> records;
+  std::size_t line_no = 0;
+  std::size_t start = 0;
+  while (start <= body.size()) {
+    std::size_t end = body.find('\n', start);
+    if (end == std::string_view::npos) end = body.size();
+    std::string_view line = body.substr(start, end - start);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    ++line_no;
+    if (!line.empty()) {
+      const std::size_t c1 = line.find(',');
+      const std::size_t c2 = c1 == std::string_view::npos ? c1 : line.find(',', c1 + 1);
+      if (c1 == std::string_view::npos || c2 == std::string_view::npos || c1 == 0 ||
+          c2 == c1 + 1) {
+        if (error != nullptr) {
+          *error = "line " + std::to_string(line_no) + ": expected row,col,value";
+        }
+        return std::nullopt;
+      }
+      const std::string value_text(line.substr(c2 + 1));
+      char* parsed_end = nullptr;
+      const double value = std::strtod(value_text.c_str(), &parsed_end);
+      if (value_text.empty() || parsed_end != value_text.c_str() + value_text.size()) {
+        if (error != nullptr) {
+          *error = "line " + std::to_string(line_no) + ": malformed value '" + value_text + "'";
+        }
+        return std::nullopt;
+      }
+      records.push_back(IngestRecord{std::string(line.substr(0, c1)),
+                                     std::string(line.substr(c1 + 1, c2 - c1 - 1)), value});
+    }
+    if (end == body.size()) break;
+    start = end + 1;
+  }
+  return records;
+}
+
+/// Both parsers on one body: same verdict, same diagnostic, same records.
+/// Returns whether the reference parser accepted the body.
+bool expect_parsers_agree(const std::string& body) {
   std::string err_records, err_spans;
   const auto records = parse_ingest_body(body, &err_records);
   const auto spans = parse_ingest_spans(body, &err_spans);
-  ASSERT_TRUE(records.has_value());
-  ASSERT_TRUE(spans.has_value());
-  ASSERT_EQ(records->size(), spans->size());
+  EXPECT_EQ(records.has_value(), spans.has_value()) << body;
+  if (!records || !spans) {
+    EXPECT_EQ(err_records, err_spans) << body;
+    return records.has_value();
+  }
+  EXPECT_EQ(records->size(), spans->size()) << body;
+  if (records->size() != spans->size()) return true;
   for (std::size_t i = 0; i < records->size(); ++i) {
     const IngestSpan& s = (*spans)[i];
-    EXPECT_EQ((*records)[i].row, body.substr(s.row_off, s.row_len));
-    EXPECT_EQ((*records)[i].column, body.substr(s.col_off, s.col_len));
-    EXPECT_EQ((*records)[i].value, s.value);
+    EXPECT_EQ((*records)[i].row, body.substr(s.row_off, s.row_len)) << body;
+    EXPECT_EQ((*records)[i].column, body.substr(s.col_off, s.col_len)) << body;
+    EXPECT_EQ((*records)[i].value, s.value) << body;
+  }
+  return true;
+}
+
+TEST(NetIngestSpans, SpanParseMatchesRecordParse) {
+  EXPECT_TRUE(expect_parsers_agree("r1,c1,3.5\r\nr2,c2,-0.25\n\nrow3,col3,1e3\n"));
+  for (const char* bad : {"r1,c1\n", ",c,1\n", "r,,1\n", "a,b,xyz\n", "ok,ok,1\nr2,c2,\n"}) {
+    EXPECT_FALSE(expect_parsers_agree(bad)) << bad;
   }
 
-  // Same diagnostics, same line numbers.
-  for (const char* bad : {"r1,c1\n", ",c,1\n", "r,,1\n", "a,b,xyz\n", "ok,ok,1\nr2,c2,\n"}) {
-    std::string e1, e2;
-    EXPECT_FALSE(parse_ingest_body(bad, &e1).has_value()) << bad;
-    EXPECT_FALSE(parse_ingest_spans(bad, &e2).has_value()) << bad;
-    EXPECT_EQ(e1, e2) << bad;
+  // Seeded bodies assembled from well-formed and malformed fields. Values
+  // stay inside the grammar both number parsers share (no leading '+',
+  // whitespace, hex or out-of-range exponents, where strtod and from_chars
+  // legitimately differ).
+  const std::vector<std::string> keys{"r1", "a", "row_9", "", "x,y"};
+  const std::vector<std::string> values{"0",  "1",         "-2.5", "3e2", ".5",
+                                        "5.", "1e-3",      "",     "x",   "1.2.3",
+                                        "-",  "12345.678", "e1"};
+  std::mt19937 rng(7);
+  const auto draw = [&](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
+  const auto pick = [&](const std::vector<std::string>& from) {
+    return from[static_cast<std::size_t>(draw(static_cast<int>(from.size())))];
+  };
+  int accepted = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string body;
+    for (int l = draw(7); l > 0; --l) {
+      const int shape = draw(10);  // 0: empty line, 1: missing field, else: full line
+      if (shape == 1) body += pick(keys) + "," + pick(values);
+      if (shape > 1) body += pick(keys) + "," + pick(keys) + "," + pick(values);
+      body += draw(4) == 0 ? "\r\n" : "\n";
+    }
+    if (!body.empty() && draw(2) == 0) body.pop_back();
+    accepted += expect_parsers_agree(body) ? 1 : 0;
   }
+  // Both verdicts were exercised.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 300);
 }
 
 TEST(NetIngestSpans, StageSpansEquivalentToStage) {
+  // Staging spans and draining them writes exactly what putting the
+  // reference parser's records directly would.
   const std::string body = "r1,o3,3.5\nr1,pm25,12\nr2,o3,4.25\nr2,pm25,0.125\n";
 
   ds::DataStore store_records{2};
   ds::DataStore store_spans{2};
-  IngestBridge via_records;
-  IngestBridge via_spans;
 
-  auto records = parse_ingest_body(body, nullptr);
+  const auto records = parse_ingest_body(body, nullptr);
   ASSERT_TRUE(records.has_value());
-  via_records.stage("sensors", std::move(*records));
+  {
+    std::vector<ds::PutOp> ops;
+    for (const IngestRecord& r : *records) ops.push_back({r.row, r.column, r.value});
+    ds::Client c1(store_records, 1);
+    c1.put_batch("sensors", ops);
+  }
 
+  IngestBridge via_spans;
   auto spans = parse_ingest_spans(body, nullptr);
   ASSERT_TRUE(spans.has_value());
   via_spans.stage_spans("sensors", std::string(body), std::move(*spans));
-
-  EXPECT_EQ(via_records.staged_rows(), via_spans.staged_rows());
+  EXPECT_EQ(via_spans.staged_rows(), records->size());
   {
-    ds::Client c1(store_records, 1);
-    via_records.make_ingest()(c1, 1);
     ds::Client c2(store_spans, 1);
     via_spans.make_ingest()(c2, 1);
   }
+  EXPECT_EQ(via_spans.staged_rows(), 0u);
 
   const ds::FlatSnapshot s1 = store_records.snapshot_flat(ds::ContainerRef("sensors", "", ""));
   const ds::FlatSnapshot s2 = store_spans.snapshot_flat(ds::ContainerRef("sensors", "", ""));
@@ -375,19 +471,6 @@ TEST(NetIngestSpans, StageSpansEquivalentToStage) {
     EXPECT_EQ(*s1.entries()[i].col, *s2.entries()[i].col);
     EXPECT_EQ(s1.entries()[i].value, s2.entries()[i].value);
   }
-}
-
-TEST_F(NetStreaming, LegacyCopyIngestPathStillServes) {
-  GatewayOptions gateway;
-  gateway.zero_copy_ingest = false;
-  start_server({}, std::move(gateway));
-  Client client = connect();
-  const ClientResponse staged = client.request("POST", "/ingest/sensors", "r1,c1,2.5\n");
-  ASSERT_EQ(staged.status, 202);
-  EXPECT_NE(staged.body.find("\"staged\":1"), std::string::npos);
-  ds::Client ds_client(store_, 1);
-  bridge_.make_ingest()(ds_client, 1);
-  EXPECT_EQ(client.request("GET", "/get?table=sensors&row=r1&col=c1").body, "{\"value\":2.5}\n");
 }
 
 // --- POST /workflow -------------------------------------------------------

@@ -211,7 +211,7 @@ TEST(PressuredPipeline, ShedPolicyJournalsRefusedWavesNeverLosesOne) {
     }
     if (all_skipped) ++all_skipped_records;
     EXPECT_EQ(results[k].wave, k + 1);
-    if (all_skipped) EXPECT_EQ(results[k].executed_count(), 0u);
+    if (all_skipped) { EXPECT_EQ(results[k].executed_count(), 0u); }
   }
   EXPECT_EQ(all_skipped_records, stats.shed);
 }

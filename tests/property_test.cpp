@@ -62,7 +62,7 @@ TEST_P(EngineInvariants, HoldUnderArbitraryPolicies) {
         }
       }
       // Invariant 3: durations are recorded exactly for executed steps.
-      if (!result.executed[i]) EXPECT_EQ(result.durations[i].count(), 0);
+      if (!result.executed[i]) { EXPECT_EQ(result.durations[i].count(), 0); }
     }
     for (std::size_t i = 0; i < spec.size(); ++i) {
       ever_executed[i] += result.executed[i] ? 1 : 0;
@@ -127,7 +127,7 @@ TEST_P(ExperimentInvariants, PredictedErrorNonNegativeAndResets) {
   for (const auto& wave : res.waves) {
     for (const auto& [step, predicted] : wave.predicted_error) {
       EXPECT_GE(predicted, 0.0);
-      if (wave.decision.at(step) == 1) EXPECT_EQ(predicted, 0.0);
+      if (wave.decision.at(step) == 1) { EXPECT_EQ(predicted, 0.0); }
     }
   }
 }

@@ -167,8 +167,8 @@ TEST(ScenarioEngine, LateCellsArriveAtTheDeferredWaveWithArrivalTimestamps) {
   std::set<ds::Timestamp> stamps;
   for (const ds::CellVersion& v : store.cell_versions("feed", "r0", "v")) {
     stamps.insert(v.timestamp);
-    if (v.timestamp == 3) EXPECT_EQ(v.value, 100.0);  // wave-1 report, 2 late
-    if (v.timestamp == 4) EXPECT_EQ(v.value, 200.0);  // wave-2 report, 2 late
+    if (v.timestamp == 3) { EXPECT_EQ(v.value, 100.0); }  // wave-1 report, 2 late
+    if (v.timestamp == 4) { EXPECT_EQ(v.value, 200.0); }  // wave-2 report, 2 late
   }
   EXPECT_EQ(stamps, (std::set<ds::Timestamp>{3, 4}));
 

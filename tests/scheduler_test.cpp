@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "common/error.h"
@@ -128,84 +127,6 @@ TEST(WaveDriver, SelfFeedingWorkflowDoesNotSpin) {
   store.put("inbox", "seed", "c", 1, 1.0);
   EXPECT_EQ(driver.poll(clock).size(), 1u);  // one wave, not an infinite spin
   EXPECT_EQ(driver.poll(clock).size(), 1u);  // the echo write re-armed it
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined ingest through the driver
-
-/// Records, per wave, the feed value the compute step observed.
-WorkflowSpec pipelined_reader_spec() {
-  StepSpec s;
-  s.id = "read";
-  s.fn = [](StepContext& ctx) {
-    ctx.client.put("out", "w" + std::to_string(ctx.wave), "v",
-                   ctx.client.get("feed", "r", "v").value_or(-1.0));
-  };
-  return WorkflowSpec("pipelined_reader", {s});
-}
-
-TEST(WaveDriver, PipelinedIngestFeedsEveryWaveItsOwnData) {
-  ds::DataStore store(/*max_versions=*/2);
-  WorkflowEngine engine(pipelined_reader_spec(), store);
-  SyncController sync;
-  WaveDriver driver(engine, sync, std::make_unique<PeriodicWaveSource>(10));
-  driver.enable_pipelining([](ds::Client& client, ds::Timestamp wave) {
-    client.put("feed", "r", "v", static_cast<double>(wave) * 3.0);
-  });
-  SimulatedClock clock;
-  std::size_t waves = 0;
-  for (int poll = 0; poll < 5; ++poll) {
-    clock.advance(20);  // two waves due per poll
-    waves += driver.poll(clock).size();
-  }
-  EXPECT_EQ(waves, 10u);
-  for (ds::Timestamp w = 1; w <= 10; ++w) {
-    EXPECT_EQ(store.get("out", "w" + std::to_string(w), "v"),
-              std::optional<double>{static_cast<double>(w) * 3.0});
-  }
-  // The prefetched ingest for wave 11 may or may not have landed yet — but
-  // wave 11 itself never ran.
-  EXPECT_EQ(driver.next_wave(), 11u);
-}
-
-TEST(WaveDriver, EnablePipeliningRejectsSingleVersionStores) {
-  ds::DataStore store(/*max_versions=*/1);
-  WorkflowEngine engine(pipelined_reader_spec(), store);
-  SyncController sync;
-  WaveDriver driver(engine, sync, std::make_unique<PeriodicWaveSource>(10));
-  EXPECT_THROW(driver.enable_pipelining([](ds::Client&, ds::Timestamp) {}),
-               smartflux::InvalidArgument);
-}
-
-TEST(WaveDriver, IngestFailureLeavesTheWaveDueForTheNextPoll) {
-  ds::DataStore store(/*max_versions=*/2);
-  WorkflowEngine engine(pipelined_reader_spec(), store);
-  SyncController sync;
-  WaveDriver driver(engine, sync, std::make_unique<PeriodicWaveSource>(10));
-  // Wave 2's ingest fails once (whether it runs inline or as the prefetch),
-  // then succeeds on the retry.
-  auto failures = std::make_shared<int>(1);
-  driver.enable_pipelining([failures](ds::Client& client, ds::Timestamp wave) {
-    if (wave == 2 && (*failures)-- > 0) throw std::runtime_error("feed outage");
-    client.put("feed", "r", "v", static_cast<double>(wave));
-  });
-  SimulatedClock clock;
-  clock.advance(10);
-  EXPECT_EQ(driver.poll(clock).size(), 1u);  // wave 1 (prefetch of 2 may fail async)
-  clock.advance(10);
-  std::vector<WaveResult> second;
-  try {
-    second = driver.poll(clock);
-  } catch (const std::runtime_error&) {
-    // The failed ingest surfaced before wave 2 started: still due.
-  }
-  if (second.empty()) {
-    EXPECT_EQ(driver.next_wave(), 2u);
-    second = driver.poll(clock);  // retry succeeds
-  }
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].wave, 2u);
-  EXPECT_EQ(store.get("out", "w2", "v"), std::optional<double>{2.0});
 }
 
 }  // namespace

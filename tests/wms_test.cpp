@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -304,7 +306,9 @@ TEST(PipelinedWaves, EachWaveReadsExactlyItsOwnIngest) {
   const WaveIngest ingest = [](ds::Client& client, ds::Timestamp wave) {
     client.put("in", "r", "v", static_cast<double>(wave) * 10.0);
   };
-  const auto results = engine.run_waves_pipelined(1, 8, sync, ingest, /*depth=*/1);
+  PressureStats stats;
+  const auto results =
+      engine.run_waves_pipelined(1, 8, sync, ingest, PressureOptions::ahead(1), &stats);
   ASSERT_EQ(results.size(), 8u);
   for (const auto& r : results) EXPECT_EQ(r.executed_count(), 2u) << "wave " << r.wave;
   // Every wave saw the feed value ingested for it — not a newer one that the
@@ -317,17 +321,40 @@ TEST(PipelinedWaves, EachWaveReadsExactlyItsOwnIngest) {
   }
   EXPECT_EQ(store.last_committed_wave(), std::nullopt);  // not durable: no stamp
   EXPECT_EQ(engine.waves_run(), 8u);
+  // One ahead (the default): the computing wave plus one ingested wave.
+  EXPECT_EQ(stats.pushed, 8u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_LE(stats.peak_depth, 2u);
 }
 
 TEST(PipelinedWaves, MatchesUnpipelinedExecutionExactly) {
-  const auto run = [](ds::DataStore& store, bool pipelined, std::size_t depth) {
-    WorkflowEngine engine(feed_reader_spec(), store);
+  // Runs 6 waves serially (depth 0) or pipelined `depth` ahead; returns the
+  // furthest any ingest had started ahead of a computing step's wave.
+  const auto run = [](ds::DataStore& store, std::size_t depth) {
+    std::mutex mutex;
+    ds::Timestamp ingest_started = 0;
+    std::size_t max_ahead = 0;
+    WorkflowSpec spec = feed_reader_spec();
+    StepSpec watch;
+    watch.id = "watch";
+    watch.fn = [&](StepContext& ctx) {
+      std::lock_guard lock(mutex);
+      max_ahead = std::max<std::size_t>(max_ahead, ingest_started - ctx.wave);
+    };
+    WorkflowEngine engine(WorkflowSpec("watched", {spec.steps()[0], spec.steps()[1], watch}),
+                          store);
     SyncController sync;
-    const WaveIngest ingest = [](ds::Client& client, ds::Timestamp wave) {
+    const WaveIngest ingest = [&](ds::Client& client, ds::Timestamp wave) {
+      {
+        std::lock_guard lock(mutex);
+        ingest_started = wave;
+      }
       client.put("in", "r", "v", 100.0 + static_cast<double>(wave));
     };
-    if (pipelined) {
-      engine.run_waves_pipelined(1, 6, sync, ingest, depth);
+    if (depth > 0) {
+      PressureStats stats;
+      engine.run_waves_pipelined(1, 6, sync, ingest, PressureOptions::ahead(depth), &stats);
+      EXPECT_LE(stats.peak_depth, depth + 1);
     } else {
       for (ds::Timestamp w = 1; w <= 6; ++w) {
         ds::Client client(store, w);
@@ -335,6 +362,7 @@ TEST(PipelinedWaves, MatchesUnpipelinedExecutionExactly) {
         engine.run_wave(w, sync);
       }
     }
+    return max_ahead;
   };
   const auto fingerprint = [](const ds::DataStore& store) {
     std::string out;
@@ -347,11 +375,11 @@ TEST(PipelinedWaves, MatchesUnpipelinedExecutionExactly) {
     return out;
   };
   ds::DataStore serial(4);
-  run(serial, false, 0);
+  EXPECT_EQ(run(serial, 0), 0u);
   ds::DataStore depth1(4);
-  run(depth1, true, 1);
+  EXPECT_LE(run(depth1, 1), 1u);
   ds::DataStore depth3(4);
-  run(depth3, true, 3);
+  EXPECT_LE(run(depth3, 3), 3u);
   EXPECT_EQ(fingerprint(depth1), fingerprint(serial));
   EXPECT_EQ(fingerprint(depth3), fingerprint(serial));
 }
@@ -361,12 +389,15 @@ TEST(PipelinedWaves, RejectsDepthsTheStoreCannotRetain) {
   WorkflowEngine engine(feed_reader_spec(), store);
   SyncController sync;
   const WaveIngest ingest = [](ds::Client&, ds::Timestamp) {};
-  EXPECT_THROW(engine.run_waves_pipelined(1, 2, sync, ingest, /*depth=*/0),
+  // An unbounded window cannot promise any wave its own version.
+  EXPECT_THROW(engine.run_waves_pipelined(1, 2, sync, ingest, PressureOptions{}),
                smartflux::InvalidArgument);
-  // depth 2 needs max_versions >= 3.
-  EXPECT_THROW(engine.run_waves_pipelined(1, 2, sync, ingest, /*depth=*/2),
+  // Two waves ahead needs max_versions >= 3.
+  EXPECT_THROW(engine.run_waves_pipelined(1, 2, sync, ingest, PressureOptions::ahead(2)),
                smartflux::InvalidArgument);
   EXPECT_EQ(engine.waves_run(), 0u);
+  // One ahead (the default) fits.
+  EXPECT_EQ(engine.run_waves_pipelined(1, 2, sync, ingest).size(), 2u);
 }
 
 TEST(PipelinedWaves, IngestFailureSurfacesBeforeItsWaveRuns) {
@@ -377,7 +408,7 @@ TEST(PipelinedWaves, IngestFailureSurfacesBeforeItsWaveRuns) {
     if (wave == 3) throw std::runtime_error("feed outage");
     client.put("in", "r", "v", static_cast<double>(wave));
   };
-  EXPECT_THROW(engine.run_waves_pipelined(1, 6, sync, ingest, 1), std::runtime_error);
+  EXPECT_THROW(engine.run_waves_pipelined(1, 6, sync, ingest), std::runtime_error);
   // Waves 1 and 2 completed; wave 3 never started.
   EXPECT_EQ(engine.waves_run(), 2u);
   EXPECT_EQ(engine.last_wave(), std::optional<ds::Timestamp>{2});
