@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <map>
 
 #include "core/smartflux.h"
 #include "obs/export.h"
@@ -65,16 +64,12 @@ int main(int argc, char** argv) {
   (void)results;
 
   // The synchronous query path keeps answering every wave: print the travel
-  // estimates produced in the final wave. (Collect first — scan visitors
-  // must not call back into the store.)
+  // estimates produced in the final wave.
   std::printf("\ntravel-time answers from the last wave (always fresh):\n");
-  std::map<std::string, double> minutes_by_query;
-  store.scan_container(ds::ContainerRef::column("travel", "time_min"),
-                       [&minutes_by_query](const ds::RowKey& row, const ds::ColumnKey&,
-                                           double minutes) { minutes_by_query[row] = minutes; });
-  for (const auto& [row, minutes] : minutes_by_query) {
-    const double cost = store.get("travel", row, "cost").value_or(0.0);
-    std::printf("  query %-4s -> %6.1f min, toll cost %5.2f\n", row.c_str(), minutes, cost);
+  for (const ds::FlatEntry& e :
+       store.snapshot_flat(ds::ContainerRef::column("travel", "time_min"))) {
+    const double cost = store.get("travel", *e.row, "cost").value_or(0.0);
+    std::printf("  query %-4s -> %6.1f min, toll cost %5.2f\n", e.row->c_str(), e.value, cost);
   }
 
   std::printf("\ntolerant-step executions skipped in application phase: %zu\n",

@@ -72,10 +72,9 @@ int main() {
   });
   registry.register_step("bulletin", [](wms::StepContext& ctx) {
     double worst = 0.0;
-    ctx.client.scan(ds::ContainerRef::whole_table("basins"),
-                    [&worst](const ds::RowKey&, const ds::ColumnKey&, double v) {
-                      worst = std::max(worst, v);
-                    });
+    for (const ds::FlatEntry& e : ctx.client.snapshot(ds::ContainerRef::whole_table("basins"))) {
+      worst = std::max(worst, e.value);
+    }
     ctx.client.put("bulletin", "latest", "worst_level", worst);
     ctx.client.put("bulletin", "latest", "alert", worst > 2.6 ? 1.0 : 0.0);
   });

@@ -84,9 +84,11 @@ class Client {
     return store_->get_previous_at(table, row, column, wave_);
   }
 
-  void scan(const ContainerRef& container,
-            const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const {
-    store_->scan_container_at(container, wave_, visit);
+  /// Flat snapshot of a container as of the bound wave, in (row, column)
+  /// order. Taken before it is returned, so the step may write to the
+  /// table it just read while iterating.
+  FlatSnapshot snapshot(const ContainerRef& container) const {
+    return store_->snapshot_flat(container, wave_);
   }
 
   DataStore& store() noexcept { return *store_; }

@@ -601,100 +601,8 @@ std::optional<double> DataStore::get_previous_at(const TableName& table, const R
   return slot.table.get_previous_at(row, column, ts);
 }
 
-void DataStore::scan_slots_merged(
-    const TableEntry& entry, const ContainerRef& container, std::optional<Timestamp> at,
-    const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const {
-  // Lock every slot shared in index order (same-rank order rule), gather the
-  // matches, then restore global (row, column) order — each slot only holds
-  // its own arc of the ring, so the merged order is not free like it is for
-  // one slot. Sorting the union keeps the slot critical sections short.
-  struct Hit {
-    const std::string* row;
-    const std::string* col;
-    double value;
-  };
-  std::vector<Hit> hits;
-  const bool unfiltered = !container.has_column() && !container.has_row_prefix();
-  {
-    LockRankScope table_rank(kLockRankTable);
-    std::vector<std::shared_lock<std::shared_mutex>> locks;
-    locks.reserve(entry.slots.size());
-    for (const auto& slot : entry.slots) locks.emplace_back(slot->mutex);
-    for (const auto& slot : entry.slots) {
-      const auto gather = [&](const Table::CellView& cv) {
-        if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-          hits.push_back(Hit{cv.row, cv.col, cv.value});
-        }
-      };
-      if (at) {
-        slot->table.scan_cells_at(*at, gather);
-      } else {
-        slot->table.scan_cells(gather);
-      }
-    }
-  }
-  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-    const int cmp = a.row->compare(*b.row);
-    return cmp != 0 ? cmp < 0 : a.col->compare(*b.col) < 0;
-  });
-  for (const Hit& hit : hits) visit(*hit.row, *hit.col, hit.value);
-}
-
-void DataStore::scan_container(
-    const ContainerRef& container,
-    const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const {
-  std::chrono::steady_clock::time_point t0;
-  if (obs_) {
-    obs_->scans->inc();
-    t0 = std::chrono::steady_clock::now();
-  }
-  const auto entry = find_entry(container.table());
-  if (entry != nullptr) {
-    if (entry->slots.size() == 1) {
-      const bool unfiltered = !container.has_column() && !container.has_row_prefix();
-      Slot& slot = *entry->slots[0];
-      LockRankScope table_rank(kLockRankTable);
-      std::shared_lock lock(slot.mutex);
-      slot.table.scan_cells([&](const Table::CellView& cv) {
-        if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-          visit(*cv.row, *cv.col, cv.value);
-        }
-      });
-    } else {
-      scan_slots_merged(*entry, container, std::nullopt, visit);
-    }
-  }
-  if (obs_) {
-    obs_->scan_latency->observe(StoreObs::seconds_since(t0));
-    if (obs_->tracer != nullptr) {
-      obs_->tracer->record("ds_scan:" + container.table(), "ds", 0, t0,
-                           std::chrono::steady_clock::now() - t0);
-    }
-  }
-}
-
-void DataStore::scan_container_at(
-    const ContainerRef& container, Timestamp ts,
-    const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const {
-  if (obs_) obs_->scans->inc();
-  const auto entry = find_entry(container.table());
-  if (entry == nullptr) return;
-  if (entry->slots.size() == 1) {
-    const bool unfiltered = !container.has_column() && !container.has_row_prefix();
-    Slot& slot = *entry->slots[0];
-    LockRankScope table_rank(kLockRankTable);
-    std::shared_lock lock(slot.mutex);
-    slot.table.scan_cells_at(ts, [&](const Table::CellView& cv) {
-      if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-        visit(*cv.row, *cv.col, cv.value);
-      }
-    });
-  } else {
-    scan_slots_merged(*entry, container, ts, visit);
-  }
-}
-
-FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
+template <typename Scan>
+FlatSnapshot DataStore::gather(const ContainerRef& container, Scan scan) const {
   std::chrono::steady_clock::time_point t0;
   if (obs_) {
     obs_->scans->inc();
@@ -705,40 +613,37 @@ FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
   if (entry != nullptr) {
     const bool unfiltered = !container.has_column() && !container.has_row_prefix();
     std::vector<FlatEntry> entries;
-    if (entry->slots.size() == 1) {
-      Slot& slot = *entry->slots[0];
-      {
-        LockRankScope table_rank(kLockRankTable);
-        std::shared_lock lock(slot.mutex);
-        entries.reserve(slot.table.cell_count());
-        slot.table.scan_cells([&](const Table::CellView& cv) {
+    {
+      // Every slot shared, in index order (same-rank order rule).
+      LockRankScope table_rank(kLockRankTable);
+      std::vector<std::shared_lock<std::shared_mutex>> locks;
+      locks.reserve(entry->slots.size());
+      std::size_t cells = 0;
+      for (const auto& slot : entry->slots) {
+        locks.emplace_back(slot->mutex);
+        cells += slot->table.cell_count();
+      }
+      if (unfiltered) entries.reserve(cells);
+      for (const auto& slot : entry->slots) {
+        scan(slot->table, [&](const Table::CellView& cv) {
           if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
             entries.push_back(FlatEntry{cv.id, cv.row, cv.col, cv.value});
           }
         });
       }
-      out = FlatSnapshot(entry, &slot.table, std::move(entries));
+    }
+    if (entry->slots.size() == 1) {
+      out = FlatSnapshot(entry, &entry->slots[0]->table, std::move(entries));
     } else {
-      {
-        LockRankScope table_rank(kLockRankTable);
-        std::vector<std::shared_lock<std::shared_mutex>> locks;
-        locks.reserve(entry->slots.size());
-        for (const auto& slot : entry->slots) locks.emplace_back(slot->mutex);
-        for (const auto& slot : entry->slots) {
-          slot->table.scan_cells([&](const Table::CellView& cv) {
-            if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-              entries.push_back(FlatEntry{cv.id, cv.row, cv.col, cv.value});
-            }
-          });
-        }
-      }
+      // Each slot only holds its own arc of the ring, so the union needs a
+      // sort to restore (row, column) order. keyspace = nullptr: packed
+      // interner ids are only unique per slot, so the id fast path
+      // (pointer-equal keyspaces) must not engage; consumers fall back to
+      // string keys.
       std::sort(entries.begin(), entries.end(), [](const FlatEntry& a, const FlatEntry& b) {
         const int cmp = a.row->compare(*b.row);
         return cmp != 0 ? cmp < 0 : a.col->compare(*b.col) < 0;
       });
-      // keyspace = nullptr: packed interner ids are only unique per slot, so
-      // the id fast path (pointer-equal keyspaces) must not engage across
-      // differently sharded snapshots; consumers fall back to string keys.
       out = FlatSnapshot(entry, nullptr, std::move(entries));
     }
   }
@@ -752,18 +657,14 @@ FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
   return out;
 }
 
-std::map<std::string, double> DataStore::snapshot(const ContainerRef& container) const {
-  std::map<std::string, double> out;
-  scan_container(container, [&out](const RowKey& row, const ColumnKey& column, double value) {
-    std::string key;
-    key.reserve(row.size() + 1 + column.size());
-    key.append(row).push_back('\x1f');
-    key.append(column);
-    // Scan order is (row, column) order, which matches the concatenated-key
-    // order for ordinary keys, so the end hint is almost always right.
-    out.emplace_hint(out.end(), std::move(key), value);
+FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
+  return gather(container, [](const Table& table, const auto& visit) { table.scan_cells(visit); });
+}
+
+FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container, Timestamp as_of) const {
+  return gather(container, [as_of](const Table& table, const auto& visit) {
+    table.scan_cells_at(as_of, visit);
   });
-  return out;
 }
 
 std::size_t DataStore::cell_count(const TableName& table) const {
@@ -779,9 +680,7 @@ std::size_t DataStore::cell_count(const TableName& table) const {
 }
 
 std::size_t DataStore::container_cell_count(const ContainerRef& container) const {
-  std::size_t n = 0;
-  scan_container(container, [&n](const RowKey&, const ColumnKey&, double) { ++n; });
-  return n;
+  return snapshot_flat(container).size();
 }
 
 bool DataStore::has_table(const TableName& table) const { return find_entry(table) != nullptr; }

@@ -135,39 +135,21 @@ class DataStore {
   std::optional<double> get_previous_at(const TableName& table, const RowKey& row,
                                         const ColumnKey& column, Timestamp ts) const;
 
-  /// Visits the latest value of every cell inside `container`, in
-  /// (row, column) order.
-  ///
-  /// Deadlock contract: the visitor runs under the table's *shared* lock.
-  /// It therefore must not write to the store for the same table (the
-  /// exclusive lock would wait on the scan) and must not re-enter any
-  /// locking read of the same table either (recursively taking a shared
-  /// lock is undefined behavior and can deadlock once a writer queues in
-  /// between). Reads of *other* tables are safe. When the visitor needs to
-  /// touch the store — or just run for a while without blocking writers —
-  /// take a `snapshot_flat()` and iterate that instead: it copies the
-  /// container out under the lock and releases it before you look at the
-  /// data.
-  void scan_container(const ContainerRef& container,
-                      const std::function<void(const RowKey&, const ColumnKey&, double)>& visit)
-      const;
-
-  /// As-of-wave scan_container: visits each cell's value as of `ts`,
-  /// skipping cells that only exist after it. Same deadlock contract.
-  void scan_container_at(
-      const ContainerRef& container, Timestamp ts,
-      const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const;
-
-  /// Flat snapshot of a container: contiguous entries in (row, column)
-  /// order with interner-backed zero-copy key views — the cheap path
-  /// monitoring harvests through. The snapshot stays valid after
+  /// Flat snapshot of a container: the latest value of every cell inside it,
+  /// as contiguous entries in (row, column) order with interner-backed
+  /// zero-copy key views. This is how every container is read — steps,
+  /// monitoring and the HTTP scan path alike. The cells are copied out under
+  /// the table's shared locks, which are released before the snapshot is
+  /// returned, so callers may read and write the store, the same table
+  /// included, while iterating. The snapshot stays valid after
   /// `drop_table`/`clear` (it keeps the source table alive).
   FlatSnapshot snapshot_flat(const ContainerRef& container) const;
 
-  /// Dense snapshot of a container keyed by "row\x1f column". Kept for
-  /// compatibility; new code should prefer `snapshot_flat` (no per-cell
-  /// string concatenation or tree insertion).
-  std::map<std::string, double> snapshot(const ContainerRef& container) const;
+  /// As-of-wave snapshot_flat: each cell's value as of `as_of`, leaving out
+  /// cells that only exist after it (a pipelined wave's fresh ingest). Same
+  /// entries, order and keyspace as snapshot_flat when nothing newer than
+  /// `as_of` has been written.
+  FlatSnapshot snapshot_flat(const ContainerRef& container, Timestamp as_of) const;
 
   /// Full retained version history of one cell, newest first (empty if the
   /// cell does not exist). The exact-state primitive the crash-matrix tests
@@ -303,12 +285,14 @@ class DataStore {
                          Timestamp ts, std::span<const PutOp> ops,
                          const std::vector<std::uint32_t>& indices,
                          std::vector<std::pair<double, bool>>* previous);
-  /// Merged as-of scan across every slot of a table (shards > 1 path):
-  /// locks all slots shared, gathers matches, restores (row, column) order.
-  void scan_slots_merged(const TableEntry& entry, const ContainerRef& container,
-                         std::optional<Timestamp> at,
-                         const std::function<void(const RowKey&, const ColumnKey&, double)>&
-                             visit) const;
+  /// The body of both snapshot_flat overloads. Locks every slot of the
+  /// container's table shared in index order, collects the matching cells
+  /// through `scan(table, visit)` (Table::scan_cells or scan_cells_at),
+  /// restores (row, column) order across slots, and counts, times and
+  /// traces the read as one scan. Templated on `scan` so the latest-version
+  /// loop carries no as-of branch.
+  template <typename Scan>
+  FlatSnapshot gather(const ContainerRef& container, Scan scan) const;
   /// Installs an open WAL + bookkeeping (shared by enable_durability and
   /// recover). Wires the WAL metric handles when instrumentation is on.
   void attach_durability(std::unique_ptr<Durability> durability);

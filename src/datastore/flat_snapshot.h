@@ -20,10 +20,9 @@ struct FlatEntry {
 };
 
 /// Allocation-light container snapshot: one contiguous vector of entries
-/// sorted by (row, column) string order — the same order `scan_container`
-/// visits — replacing the `std::map<std::string, double>` keyed by
-/// "row\x1f column" that monitoring used to rebuild every wave. Taking one
-/// costs a single vector fill under the table's shared lock; no per-cell
+/// sorted by (row, column) string order, the one shape in which containers
+/// are read (DataStore::snapshot_flat, ds::Client::snapshot). Taking one
+/// costs a single vector fill under the table's shared locks; no per-cell
 /// string concatenation or tree insertion.
 ///
 /// Element identity across snapshots: two snapshots with the same non-null

@@ -217,30 +217,6 @@ void Table::ensure_sorted() const {
   sorted_valid_.store(true, std::memory_order_release);
 }
 
-void Table::scan_column(std::string_view column,
-                        const std::function<void(const RowKey&, double)>& visit) const {
-  const std::uint32_t c = cols_.find(column);
-  if (c == KeyInterner::kNoId) return;
-  ensure_sorted();
-  // (row, column) order restricted to one column is row order.
-  for (const std::uint32_t cell : sorted_) {
-    if (cell_col_[cell] != c) continue;
-    visit(rows_.key(cell_row_[cell]),
-          version_slots_[static_cast<std::size_t>(cell) * max_versions_].value);
-  }
-}
-
-void Table::scan(
-    const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const {
-  scan_cells([&visit](const CellView& cv) { visit(*cv.row, *cv.col, cv.value); });
-}
-
-std::vector<double> Table::column_values(std::string_view column) const {
-  std::vector<double> out;
-  scan_column(column, [&out](const RowKey&, double v) { out.push_back(v); });
-  return out;
-}
-
 std::size_t Table::approx_bytes() const {
   const auto vec_bytes = [](const auto& v) {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);

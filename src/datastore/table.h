@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string_view>
@@ -107,16 +106,6 @@ class Table {
       visit(view);
     }
   }
-
-  /// Visits every latest cell of the given column in row order.
-  void scan_column(std::string_view column,
-                   const std::function<void(const RowKey&, double)>& visit) const;
-
-  /// Visits every latest cell in the table in (row, column) order.
-  void scan(const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const;
-
-  /// Latest values of a column, in row order (dense snapshot).
-  std::vector<double> column_values(std::string_view column) const;
 
   std::size_t row_count() const noexcept { return live_rows_; }
   std::size_t cell_count() const noexcept { return live_cells_; }

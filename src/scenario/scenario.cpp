@@ -32,11 +32,9 @@ wms::WaveIngest ScenarioEngine::wrap(wms::WaveIngest inner) {
     ds::Client capture(scratch_, wave);
     inner(capture, wave);
     for (const ds::TableName& table : scratch_.table_names()) {
-      scratch_.scan_container(
-          ds::ContainerRef::whole_table(table),
-          [&cells, &table](const ds::RowKey& row, const ds::ColumnKey& column, double value) {
-            cells.push_back(CellWrite{table, row, column, value});
-          });
+      for (const ds::FlatEntry& e : scratch_.snapshot_flat(ds::ContainerRef::whole_table(table))) {
+        cells.push_back(CellWrite{table, *e.row, *e.col, e.value});
+      }
     }
     scratch_.clear();
     mutate_and_emit(out, wave, std::move(cells));

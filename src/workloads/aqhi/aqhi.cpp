@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 #include <vector>
 #include <string>
@@ -10,6 +9,7 @@
 #include "common/error.h"
 #include "common/hashing.h"
 #include "datastore/client.h"
+#include "workloads/read_table.h"
 
 namespace smartflux::workloads {
 
@@ -23,17 +23,6 @@ std::string detector_row(std::size_t x, std::size_t y) {
 
 std::string zone_row(std::size_t zx, std::size_t zy) {
   return "z" + std::to_string(zx) + "_" + std::to_string(zy);
-}
-
-/// Reads a whole table into row -> (column -> value).
-std::map<std::string, std::map<std::string, double>> read_table(ds::Client& client,
-                                                                const std::string& table) {
-  std::map<std::string, std::map<std::string, double>> out;
-  client.scan(ds::ContainerRef::whole_table(table),
-              [&out](const ds::RowKey& row, const ds::ColumnKey& col, double v) {
-                out[row][col] = v;
-              });
-  return out;
 }
 
 /// Weighted multiplicative model combining the three sensors (§5.1 step 2).

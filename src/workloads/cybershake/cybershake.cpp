@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 
 #include "common/error.h"
 #include "common/hashing.h"
+#include "workloads/read_table.h"
 
 namespace smartflux::workloads {
 
@@ -16,16 +16,6 @@ std::string source_row(std::size_t s) { return "f" + std::to_string(s); }
 
 std::string site_row(std::size_t x, std::size_t y) {
   return "s" + std::to_string(x) + "_" + std::to_string(y);
-}
-
-std::map<std::string, std::map<std::string, double>> read_table(ds::Client& client,
-                                                                const std::string& table) {
-  std::map<std::string, std::map<std::string, double>> out;
-  client.scan(ds::ContainerRef::whole_table(table),
-              [&out](const ds::RowKey& row, const ds::ColumnKey& col, double v) {
-                out[row][col] = v;
-              });
-  return out;
 }
 
 /// Simplified ground-motion attenuation: intensity at distance d from a
@@ -129,13 +119,13 @@ wms::WorkflowSpec CyberShakeWorkload::make_workflow() const {
     s.outputs = {ds::ContainerRef::whole_table("hazard")};
     s.max_error = bound;
     s.fn = [](wms::StepContext& ctx) {
-      ctx.client.scan(ds::ContainerRef::whole_table("intensity"),
-                      [&ctx](const ds::RowKey& row, const ds::ColumnKey&, double gm) {
-                        // Probability of exceeding the design intensity in a
-                        // 10-year horizon (Poissonian), scaled to percent.
-                        const double p50 = 1.0 - std::exp(-10.0 * gm);
-                        ctx.client.put("hazard", row, "p50", 100.0 * p50);
-                      });
+      for (const ds::FlatEntry& e :
+           ctx.client.snapshot(ds::ContainerRef::whole_table("intensity"))) {
+        // Probability of exceeding the design intensity in a 10-year
+        // horizon (Poissonian), scaled to percent.
+        const double p50 = 1.0 - std::exp(-10.0 * e.value);
+        ctx.client.put("hazard", *e.row, "p50", 100.0 * p50);
+      }
     };
     steps.push_back(std::move(s));
   }

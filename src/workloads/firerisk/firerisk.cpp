@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 #include <vector>
 #include <string>
 
 #include "common/error.h"
 #include "common/hashing.h"
+#include "workloads/read_table.h"
 
 namespace smartflux::workloads {
 
@@ -22,16 +22,6 @@ std::string sensor_row(std::size_t x, std::size_t y) {
 
 std::string area_row(std::size_t ax, std::size_t ay) {
   return "a" + std::to_string(ax) + "_" + std::to_string(ay);
-}
-
-std::map<std::string, std::map<std::string, double>> read_table(ds::Client& client,
-                                                                const std::string& table) {
-  std::map<std::string, std::map<std::string, double>> out;
-  client.scan(ds::ContainerRef::whole_table(table),
-              [&out](const ds::RowKey& row, const ds::ColumnKey& col, double v) {
-                out[row][col] = v;
-              });
-  return out;
 }
 
 }  // namespace
@@ -196,11 +186,10 @@ wms::WorkflowSpec FireRiskWorkload::make_workflow() const {
     s.outputs = {ds::ContainerRef::whole_table("thermal_map")};
     s.max_error = bound;
     s.fn = [](wms::StepContext& ctx) {
-      ctx.client.scan(ds::ContainerRef::column("sensors", "temp"),
-                      [&ctx](const ds::RowKey& row, const ds::ColumnKey&, double v) {
-                        ctx.client.put("thermal_map", row, "pixel",
-                                       std::round(v * 2.0) / 2.0);
-                      });
+      for (const ds::FlatEntry& e :
+           ctx.client.snapshot(ds::ContainerRef::column("sensors", "temp"))) {
+        ctx.client.put("thermal_map", *e.row, "pixel", std::round(e.value * 2.0) / 2.0);
+      }
     };
     steps.push_back(std::move(s));
   }
@@ -328,10 +317,10 @@ wms::WorkflowSpec FireRiskWorkload::make_workflow() const {
     s.outputs = {ds::ContainerRef::whole_table("dispatch")};
     s.fn = [](wms::StepContext& ctx) {
       double confirmed = 0.0;
-      ctx.client.scan(ds::ContainerRef::whole_table("satellite"),
-                      [&confirmed](const ds::RowKey&, const ds::ColumnKey&, double v) {
-                        confirmed += v > 0.5 ? 1.0 : 0.0;
-                      });
+      for (const ds::FlatEntry& e :
+           ctx.client.snapshot(ds::ContainerRef::whole_table("satellite"))) {
+        confirmed += e.value > 0.5 ? 1.0 : 0.0;
+      }
       ctx.client.put("dispatch", "order", "units", confirmed > 0.0 ? confirmed + 1.0 : 0.0);
     };
     steps.push_back(std::move(s));

@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/hashing.h"
+#include "workloads/read_table.h"
 
 namespace smartflux::workloads {
 
@@ -19,24 +20,6 @@ std::string segment_row(std::size_t xway, std::size_t seg) {
 }
 
 std::string vehicle_row(std::size_t v) { return "v" + std::to_string(v); }
-
-std::map<std::string, std::map<std::string, double>> read_table(ds::Client& client,
-                                                                const std::string& table) {
-  std::map<std::string, std::map<std::string, double>> out;
-  client.scan(ds::ContainerRef::whole_table(table),
-              [&out](const ds::RowKey& row, const ds::ColumnKey& col, double v) {
-                out[row][col] = v;
-              });
-  return out;
-}
-
-double cell(const std::map<std::string, std::map<std::string, double>>& table,
-            const std::string& row, const std::string& col, double fallback = 0.0) {
-  auto it = table.find(row);
-  if (it == table.end()) return fallback;
-  auto jt = it->second.find(col);
-  return jt == it->second.end() ? fallback : jt->second;
-}
 
 }  // namespace
 

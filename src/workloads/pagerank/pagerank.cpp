@@ -139,15 +139,14 @@ wms::WorkflowSpec PageRankWorkload::make_workflow() const {
     s.max_error = bound;
     s.fn = [p](wms::StepContext& ctx) {
       std::vector<double> out_deg(p->pages, 0.0), in_deg(p->pages, 0.0);
-      ctx.client.scan(ds::ContainerRef::whole_table("links"),
-                      [&](const ds::RowKey& row, const ds::ColumnKey& col, double) {
-                        const auto from = static_cast<std::size_t>(std::stoul(row.substr(1)));
-                        const auto to = static_cast<std::size_t>(std::stoul(col.substr(1)));
-                        if (from < p->pages && to < p->pages) {
-                          out_deg[from] += 1.0;
-                          in_deg[to] += 1.0;
-                        }
-                      });
+      for (const ds::FlatEntry& e : ctx.client.snapshot(ds::ContainerRef::whole_table("links"))) {
+        const auto from = static_cast<std::size_t>(std::stoul(e.row->substr(1)));
+        const auto to = static_cast<std::size_t>(std::stoul(e.col->substr(1)));
+        if (from < p->pages && to < p->pages) {
+          out_deg[from] += 1.0;
+          in_deg[to] += 1.0;
+        }
+      }
       for (std::size_t page = 0; page < p->pages; ++page) {
         ctx.client.put("degrees", page_row(page), "out", out_deg[page]);
         ctx.client.put("degrees", page_row(page), "in", in_deg[page]);
@@ -172,12 +171,11 @@ wms::WorkflowSpec PageRankWorkload::make_workflow() const {
     s.max_error = bound;
     s.fn = [p](wms::StepContext& ctx) {
       std::vector<std::vector<std::size_t>> links(p->pages);
-      ctx.client.scan(ds::ContainerRef::whole_table("links"),
-                      [&](const ds::RowKey& row, const ds::ColumnKey& col, double) {
-                        const auto from = static_cast<std::size_t>(std::stoul(row.substr(1)));
-                        const auto to = static_cast<std::size_t>(std::stoul(col.substr(1)));
-                        if (from < p->pages && to < p->pages) links[from].push_back(to);
-                      });
+      for (const ds::FlatEntry& e : ctx.client.snapshot(ds::ContainerRef::whole_table("links"))) {
+        const auto from = static_cast<std::size_t>(std::stoul(e.row->substr(1)));
+        const auto to = static_cast<std::size_t>(std::stoul(e.col->substr(1)));
+        if (from < p->pages && to < p->pages) links[from].push_back(to);
+      }
       const auto ranks = power_iterate(links, p->damping, p->iterations);
       std::vector<std::pair<ds::RowKey, double>> cells;
       cells.reserve(p->pages);
@@ -204,10 +202,9 @@ wms::WorkflowSpec PageRankWorkload::make_workflow() const {
     s.max_error = bound;
     s.fn = [p](wms::StepContext& ctx) {
       std::vector<std::pair<double, std::size_t>> scored;
-      ctx.client.scan(ds::ContainerRef::whole_table("rank"),
-                      [&scored](const ds::RowKey& row, const ds::ColumnKey&, double v) {
-                        scored.emplace_back(v, std::stoul(row.substr(1)));
-                      });
+      for (const ds::FlatEntry& e : ctx.client.snapshot(ds::ContainerRef::whole_table("rank"))) {
+        scored.emplace_back(e.value, std::stoul(e.row->substr(1)));
+      }
       std::sort(scored.rbegin(), scored.rend());
 
       double top_mass = 0.0;

@@ -6,6 +6,7 @@
 #include "common/hashing.h"
 #include "core/change_metric.h"
 #include "datastore/datastore.h"
+#include "snapshot_util.h"
 
 namespace smartflux::core {
 namespace {
@@ -214,8 +215,8 @@ TEST_P(FlatEquivalence, SameStoreMatchesMapPath) {
     store.put("t", "r" + std::to_string(i % 13), "c" + std::to_string(i % 5), 1,
               100.0 * hash_unit(seed, 1, static_cast<std::uint64_t>(i)));
   }
-  const auto prev_map = store.snapshot(container);
   const auto prev_flat = store.snapshot_flat(container);
+  const auto prev_map = test::keyed(prev_flat);
   // Second wave: modify some cells, insert new ones, delete a few.
   for (int i = 0; i < 25; ++i) {
     store.put("t", "r" + std::to_string(i % 17), "c" + std::to_string(i % 7), 2,
@@ -223,8 +224,8 @@ TEST_P(FlatEquivalence, SameStoreMatchesMapPath) {
   }
   store.erase("t", "r1", "c1", 2);
   store.erase("t", "r2", "c2", 2);
-  const auto cur_map = store.snapshot(container);
   const auto cur_flat = store.snapshot_flat(container);
+  const auto cur_map = test::keyed(cur_flat);
   ASSERT_EQ(cur_map.size(), cur_flat.size());
 
   for (auto kind : {ImpactKind::kMagnitudeCount, ImpactKind::kRelative}) {
@@ -256,8 +257,8 @@ TEST_P(FlatEquivalence, CrossStoreMatchesMapPath) {
   const auto fresh_flat = fresh_store.snapshot_flat(container);
   const auto stale_flat = stale_store.snapshot_flat(container);
   EXPECT_NE(fresh_flat.keyspace(), stale_flat.keyspace());
-  const auto fresh_map = fresh_store.snapshot(container);
-  const auto stale_map = stale_store.snapshot(container);
+  const auto fresh_map = test::keyed(fresh_flat);
+  const auto stale_map = test::keyed(stale_flat);
 
   for (auto kind : {ErrorKind::kRelative, ErrorKind::kRmse}) {
     auto m = make_error_metric(kind, 10.0);

@@ -8,6 +8,7 @@
 #include "datastore/client.h"
 #include "datastore/datastore.h"
 #include "datastore/flat_snapshot.h"
+#include "snapshot_util.h"
 
 // Concurrency and batching semantics of the sharded datastore. The
 // thread-heavy tests here are the ones the ThreadSanitizer CI job leans on
@@ -116,8 +117,8 @@ TEST(DataStoreConcurrency, PutBatchMatchesPutLoop) {
     looped.put("t", RowKey(op.row), ColumnKey(op.column), 1, op.value);
   }
 
-  EXPECT_EQ(batched.snapshot(ContainerRef::whole_table("t")),
-            looped.snapshot(ContainerRef::whole_table("t")));
+  EXPECT_EQ(test::cells(batched.snapshot_flat(ContainerRef::whole_table("t"))),
+            test::cells(looped.snapshot_flat(ContainerRef::whole_table("t"))));
   ASSERT_EQ(batched_muts.size(), looped_muts.size());
   for (std::size_t i = 0; i < batched_muts.size(); ++i) {
     EXPECT_EQ(batched_muts[i].row, looped_muts[i].row) << i;

@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "datastore/client.h"
 #include "datastore/datastore.h"
+#include "snapshot_util.h"
 
 namespace smartflux::ds {
 namespace {
@@ -94,22 +95,11 @@ TEST(Table, ScanVisitsInRowColumnOrder) {
   t.put("a", "x", 1, 1.0);
   t.put("b", "x", 1, 3.0);
   std::vector<std::pair<RowKey, ColumnKey>> visited;
-  t.scan([&](const RowKey& r, const ColumnKey& c, double) { visited.emplace_back(r, c); });
+  t.scan_cells([&](const Table::CellView& cv) { visited.emplace_back(*cv.row, *cv.col); });
   ASSERT_EQ(visited.size(), 3u);
   EXPECT_EQ(visited[0], (std::pair<RowKey, ColumnKey>{"a", "x"}));
   EXPECT_EQ(visited[1], (std::pair<RowKey, ColumnKey>{"b", "x"}));
   EXPECT_EQ(visited[2], (std::pair<RowKey, ColumnKey>{"b", "y"}));
-}
-
-TEST(Table, ColumnValuesSelectsColumn) {
-  Table t;
-  t.put("a", "x", 1, 1.0);
-  t.put("b", "x", 1, 2.0);
-  t.put("b", "y", 1, 9.0);
-  const auto xs = t.column_values("x");
-  ASSERT_EQ(xs.size(), 2u);
-  EXPECT_EQ(xs[0], 1.0);
-  EXPECT_EQ(xs[1], 2.0);
 }
 
 TEST(Table, RequiresAtLeastOneVersion) {
@@ -198,14 +188,9 @@ TEST(DataStore, SnapshotKeyedByRowAndColumn) {
   store.put("t", "r1", "a", 1, 1.0);
   store.put("t", "r1", "b", 1, 2.0);
   store.put("t", "r2", "a", 1, 3.0);
-  const auto snap = store.snapshot(ContainerRef::column("t", "a"));
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap.at("r1\x1f"
-                    "a"),
-            1.0);
-  EXPECT_EQ(snap.at("r2\x1f"
-                    "a"),
-            3.0);
+  const auto snap = store.snapshot_flat(ContainerRef::column("t", "a"));
+  EXPECT_EQ(test::cells(snap),
+            (std::vector<test::Cell>{{"r1", "a", 1.0}, {"r2", "a", 3.0}}));
 }
 
 TEST(DataStore, ContainerCellCount) {

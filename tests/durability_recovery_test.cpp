@@ -39,14 +39,13 @@ std::string dump_store(const DataStore& store) {
   os << std::setprecision(17);
   for (const TableName& table : store.table_names()) {
     os << "table " << table << '\n';
-    store.scan_container(ContainerRef::whole_table(table),
-                         [&](const RowKey& row, const ColumnKey& column, double) {
-                           os << "  " << row << '|' << column << " =";
-                           for (const CellVersion& v : store.cell_versions(table, row, column)) {
-                             os << ' ' << v.timestamp << ':' << v.value;
-                           }
-                           os << '\n';
-                         });
+    for (const FlatEntry& e : store.snapshot_flat(ContainerRef::whole_table(table))) {
+      os << "  " << *e.row << '|' << *e.col << " =";
+      for (const CellVersion& v : store.cell_versions(table, *e.row, *e.col)) {
+        os << ' ' << v.timestamp << ':' << v.value;
+      }
+      os << '\n';
+    }
   }
   return os.str();
 }

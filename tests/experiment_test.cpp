@@ -33,11 +33,10 @@ wms::WorkflowSpec smooth_spec(double bound) {
   agg.fn = [](wms::StepContext& ctx) {
     double sum = 0.0;
     std::size_t n = 0;
-    ctx.client.scan(ds::ContainerRef::whole_table("in"),
-                    [&](const ds::RowKey&, const ds::ColumnKey&, double v) {
-                      sum += v;
-                      ++n;
-                    });
+    for (const ds::FlatEntry& e : ctx.client.snapshot(ds::ContainerRef::whole_table("in"))) {
+      sum += e.value;
+      ++n;
+    }
     ctx.client.put("out", "mean", "v", n == 0 ? 0.0 : sum / static_cast<double>(n));
   };
   return wms::WorkflowSpec("smooth", {src, agg});

@@ -196,11 +196,10 @@ TEST(CyberShake, HazardVariesSpatially) {
   engine.run_wave(1, sync);
 
   double lo = 1e9, hi = -1e9;
-  store.scan_container(ds::ContainerRef::column("hazard", "p50"),
-                       [&](const ds::RowKey&, const ds::ColumnKey&, double v) {
-                         lo = std::min(lo, v);
-                         hi = std::max(hi, v);
-                       });
+  for (const ds::FlatEntry& e : store.snapshot_flat(ds::ContainerRef::column("hazard", "p50"))) {
+    lo = std::min(lo, e.value);
+    hi = std::max(hi, e.value);
+  }
   // Sites near faults must be markedly riskier than remote ones.
   EXPECT_GT(hi, 2.0 * lo);
   EXPECT_GE(lo, 0.0);

@@ -4,6 +4,7 @@
 
 #include "core/monitoring.h"
 #include "datastore/datastore.h"
+#include "snapshot_util.h"
 
 namespace smartflux::core {
 namespace {
@@ -131,7 +132,7 @@ TEST(ContainerTracker, FlatSeriesMatchesMapBasedSeries) {
       }
       if (wave == 4) store.erase("t", "r5", "c", wave);
 
-      const auto current = store.snapshot(container);
+      const auto current = test::keyed(store.snapshot_flat(container));
       double expected;
       if (mode == AccumulationMode::kCumulative) {
         accumulated += compute_change(current, last_seen, *metric);

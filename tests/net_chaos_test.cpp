@@ -24,6 +24,7 @@
 #include "net/http.h"
 #include "net/server.h"
 #include "net/testing.h"
+#include "snapshot_util.h"
 #include "wms/backpressure.h"
 
 namespace smartflux::net {
@@ -432,8 +433,9 @@ TEST(NetChunkedRequest, ByteEquivalentToContentLength) {
   stack.drain_wave(1);
 
   // The two transfer encodings must produce byte-identical staged rows.
-  const auto plain = stack.store.snapshot(ds::ContainerRef::whole_table("plain"));
-  const auto chunked = stack.store.snapshot(ds::ContainerRef::whole_table("chunked"));
+  const auto plain = test::cells(stack.store.snapshot_flat(ds::ContainerRef::whole_table("plain")));
+  const auto chunked =
+      test::cells(stack.store.snapshot_flat(ds::ContainerRef::whole_table("chunked")));
   EXPECT_EQ(plain.size(), 3u);
   EXPECT_EQ(plain, chunked);
 }

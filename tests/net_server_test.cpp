@@ -295,13 +295,8 @@ TEST(NetServer, EngineRoundTrip) {
   wms::StepSpec step;
   step.id = "double";
   step.fn = [](wms::StepContext& ctx) {
-    std::vector<std::pair<std::string, double>> readings;
-    ctx.client.scan(ds::ContainerRef("sensors", "o3"),
-                    [&](const ds::RowKey& row, const ds::ColumnKey&, double value) {
-                      readings.emplace_back(row, value);
-                    });
-    for (const auto& [row, value] : readings) {
-      ctx.client.put("derived", row, "o3x2", value * 2.0);
+    for (const ds::FlatEntry& e : ctx.client.snapshot(ds::ContainerRef("sensors", "o3"))) {
+      ctx.client.put("derived", *e.row, "o3x2", e.value * 2.0);
     }
   };
   wms::WorkflowSpec spec("net-roundtrip", {step});

@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "core/smartflux.h"
+#include "datastore/client.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -584,7 +585,7 @@ TEST(DataStoreObservability, CountsOpsAndTimesScans) {
   store.get("t", "r", "c");
   store.get_previous("t", "r", "c");
   store.erase("t", "r", "c", 3);
-  store.snapshot(ds::ContainerRef::whole_table("t"));  // one scan
+  store.snapshot_flat(ds::ContainerRef::whole_table("t"));  // one scan
 
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(counter_value(snap, "sf_ds_ops_total", {{"op", "put"}}), 2u);
@@ -608,6 +609,36 @@ TEST(DataStoreObservability, CountsOpsAndTimesScans) {
   store.set_instrumentation(nullptr);  // detach: further ops uncounted
   store.put("t", "r", "c", 4, 4.0);
   EXPECT_EQ(counter_value(reg.snapshot(), "sf_ds_ops_total", {{"op", "put"}}), 2u);
+}
+
+TEST(DataStoreObservability, AsOfSnapshotIsCountedTimedAndTraced) {
+  // Steps read through Client::snapshot (as of their wave): each read must
+  // show up in the scan counter, the scan latency and the trace like a
+  // latest-version snapshot does.
+  MetricsRegistry reg;
+  Tracer tracer;
+  ds::DataStore store;
+  store.set_instrumentation(&reg, &tracer, /*latency_sample_shift=*/0);
+  store.put("t", "r", "c", 1, 1.0);
+  store.put("t", "r", "c", 2, 2.0);
+  const ds::Client client(store, 1);
+  const ds::FlatSnapshot snapshot = client.snapshot(ds::ContainerRef::whole_table("t"));
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot.entries()[0].value, 1.0);
+
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(counter_value(snap, "sf_ds_ops_total", {{"op", "scan"}}), 1u);
+  std::size_t scan_samples = 0;
+  for (const auto& m : snap.metrics) {
+    if (m.name == "sf_ds_op_duration_seconds" && m.labels == Labels{{"op", "scan"}}) {
+      scan_samples = m.histogram.count;
+    }
+  }
+  EXPECT_EQ(scan_samples, 1u);
+  const auto spans = tracer.snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "ds_scan:t");
+  EXPECT_EQ(spans[0].category, "ds");
 }
 
 TEST(SmartFluxObservability, RecordsDecisionsPhasesAndTraining) {

@@ -37,15 +37,13 @@ std::string dump(const ds::DataStore& store) {
   os << std::setprecision(17);
   for (const ds::TableName& table : store.table_names()) {
     os << "table " << table << '\n';
-    store.scan_container(ds::ContainerRef::whole_table(table),
-                         [&](const ds::RowKey& row, const ds::ColumnKey& column, double) {
-                           os << "  " << row << '|' << column << " =";
-                           for (const ds::CellVersion& v :
-                                store.cell_versions(table, row, column)) {
-                             os << ' ' << v.timestamp << ':' << v.value;
-                           }
-                           os << '\n';
-                         });
+    for (const ds::FlatEntry& e : store.snapshot_flat(ds::ContainerRef::whole_table(table))) {
+      os << "  " << *e.row << '|' << *e.col << " =";
+      for (const ds::CellVersion& v : store.cell_versions(table, *e.row, *e.col)) {
+        os << ' ' << v.timestamp << ':' << v.value;
+      }
+      os << '\n';
+    }
   }
   return os.str();
 }
@@ -191,10 +189,9 @@ TEST(ScenarioEngine, HotKeySkewRedirectsOntoTheSharedRowPool) {
     ingest(client, wave);
   }
   std::set<std::string> rows;
-  store.scan_container(ds::ContainerRef::whole_table("feed"),
-                       [&rows](const ds::RowKey& row, const ds::ColumnKey&, double) {
-                         rows.insert(row);
-                       });
+  for (const ds::FlatEntry& e : store.snapshot_flat(ds::ContainerRef::whole_table("feed"))) {
+    rows.insert(*e.row);
+  }
   for (const std::string& row : rows) {
     EXPECT_EQ(row.rfind("hot~", 0), 0u) << "non-hot row survived full skew: " << row;
   }

@@ -15,6 +15,7 @@
 #include "datastore/client.h"
 #include "datastore/datastore.h"
 #include "datastore/shard_ring.h"
+#include "snapshot_util.h"
 
 namespace smartflux::ds {
 namespace {
@@ -28,14 +29,13 @@ std::string dump_store(const DataStore& store) {
   os.precision(17);
   for (const TableName& table : store.table_names()) {
     os << "table " << table << '\n';
-    store.scan_container(ContainerRef::whole_table(table),
-                         [&](const RowKey& row, const ColumnKey& column, double) {
-                           os << "  " << row << '|' << column << " =";
-                           for (const CellVersion& v : store.cell_versions(table, row, column)) {
-                             os << ' ' << v.timestamp << ':' << v.value;
-                           }
-                           os << '\n';
-                         });
+    for (const FlatEntry& e : store.snapshot_flat(ContainerRef::whole_table(table))) {
+      os << "  " << *e.row << '|' << *e.col << " =";
+      for (const CellVersion& v : store.cell_versions(table, *e.row, *e.col)) {
+        os << ' ' << v.timestamp << ':' << v.value;
+      }
+      os << '\n';
+    }
   }
   return os.str();
 }
@@ -149,25 +149,10 @@ TEST(ShardEquivalence, ScanOrderAndSnapshotMatchUnshardedStore) {
     plain.put("t", row_name(i * 7), "c", 1, static_cast<double>(i));
   }
 
-  std::vector<std::pair<std::string, std::string>> sharded_order, plain_order;
-  sharded.scan_container(ContainerRef::whole_table("t"),
-                         [&](const RowKey& r, const ColumnKey& c, double) {
-                           sharded_order.emplace_back(r, c);
-                         });
-  plain.scan_container(ContainerRef::whole_table("t"),
-                       [&](const RowKey& r, const ColumnKey& c, double) {
-                         plain_order.emplace_back(r, c);
-                       });
-  EXPECT_EQ(sharded_order, plain_order);  // merged scan keeps (row, col) order
-
+  // The merged snapshot keeps (row, col) order.
   const FlatSnapshot ss = sharded.snapshot_flat(ContainerRef::whole_table("t"));
   const FlatSnapshot ps = plain.snapshot_flat(ContainerRef::whole_table("t"));
-  ASSERT_EQ(ss.size(), ps.size());
-  for (std::size_t i = 0; i < ss.size(); ++i) {
-    EXPECT_EQ(*ss.entries()[i].row, *ps.entries()[i].row);
-    EXPECT_EQ(*ss.entries()[i].col, *ps.entries()[i].col);
-    EXPECT_EQ(ss.entries()[i].value, ps.entries()[i].value);
-  }
+  EXPECT_EQ(test::cells(ss), test::cells(ps));
   // Multi-slot snapshots mint ids in per-shard interner spaces, so they must
   // NOT advertise a shared keyspace (id equality across snapshots would lie);
   // single-slot stores keep the id fast path.
@@ -218,8 +203,9 @@ TEST(ShardConcurrency, ConcurrentCrossShardWritersReadersAndScanners) {
       while (!stop.load(std::memory_order_acquire) || laps < 1) {
         ++laps;
         double sink = 0.0;
-        store.scan_container(ContainerRef::whole_table("grid"),
-                             [&sink](const RowKey&, const ColumnKey&, double v) { sink += v; });
+        for (const FlatEntry& e : store.snapshot_flat(ContainerRef::whole_table("grid"))) {
+          sink += e.value;
+        }
         const auto v = store.get("grid", row_name(r * 17 % (kWriters * kRowsPerWriter)), "v");
         if (v) sink += *v;
         (void)store.cell_count("grid");
@@ -261,18 +247,64 @@ TEST(AsOfReads, ClientBoundToAWaveIsBlindToNewerIngest) {
   EXPECT_EQ(new_wave.get("t", "r", "c"), std::optional<double>{30.0});
   EXPECT_EQ(new_wave.get_previous("t", "r", "c"), std::optional<double>{20.0});
 
-  double old_sum = 0.0, new_sum = 0.0;
-  old_wave.scan(ContainerRef::whole_table("t"),
-                [&](const RowKey&, const ColumnKey&, double v) { old_sum += v; });
-  new_wave.scan(ContainerRef::whole_table("t"),
-                [&](const RowKey&, const ColumnKey&, double v) { new_sum += v; });
-  EXPECT_EQ(old_sum, 20.0);
-  EXPECT_EQ(new_sum, 30.0);
+  EXPECT_EQ(test::cells(old_wave.snapshot(ContainerRef::whole_table("t"))),
+            (std::vector<test::Cell>{{"r", "c", 20.0}}));
+  EXPECT_EQ(test::cells(new_wave.snapshot(ContainerRef::whole_table("t"))),
+            (std::vector<test::Cell>{{"r", "c", 30.0}}));
 
   // A cell first written after the bound wave does not exist for it yet.
   new_wave.put("t", "fresh", "c", 1.0);
   EXPECT_EQ(old_wave.get("t", "fresh", "c"), std::nullopt);
   EXPECT_EQ(new_wave.get("t", "fresh", "c"), std::optional<double>{1.0});
+  EXPECT_EQ(test::cells(old_wave.snapshot(ContainerRef::whole_table("t"))),
+            (std::vector<test::Cell>{{"r", "c", 20.0}}));
+  EXPECT_EQ(test::cells(new_wave.snapshot(ContainerRef::whole_table("t"))),
+            (std::vector<test::Cell>{{"fresh", "c", 1.0}, {"r", "c", 30.0}}));
+}
+
+TEST(AsOfReads, SnapshotMatchesAcrossShardCounts) {
+  ShardOptions so;
+  so.shards = 4;
+  DataStore plain(/*max_versions=*/3);
+  DataStore sharded(/*max_versions=*/3, so);
+  for (DataStore* store : {&plain, &sharded}) {
+    for (std::size_t i = 0; i < 60; ++i) {
+      const std::string row = (i % 3 == 0 ? "a" : "b") + row_name(i);
+      store->put("t", row, "x", 1, static_cast<double>(i));
+      store->put("t", row, "y", 1, static_cast<double>(i) + 0.5);
+      store->put("t", row, "x", 2, static_cast<double>(i) * 2.0);
+    }
+    store->put("t", "a_fresh", "x", 3, 99.0);  // first written after wave 2
+  }
+  const std::vector<ContainerRef> containers = {
+      ContainerRef::whole_table("t"), ContainerRef::column("t", "x"), ContainerRef("t", "", "a")};
+  for (const ContainerRef& container : containers) {
+    for (Timestamp wave = 1; wave <= 3; ++wave) {
+      const FlatSnapshot expected = plain.snapshot_flat(container, wave);
+      const FlatSnapshot got = sharded.snapshot_flat(container, wave);
+      EXPECT_EQ(test::cells(got), test::cells(expected)) << container.id() << " @" << wave;
+      EXPECT_EQ(test::cells(Client(sharded, wave).snapshot(container)), test::cells(expected));
+      // Same keyspace rule as the latest-version snapshot: only one slot
+      // has table-wide ids.
+      EXPECT_NE(expected.keyspace(), nullptr);
+      EXPECT_EQ(got.keyspace(), nullptr);
+    }
+    // Nothing is newer than wave 3, so the as-of read is the latest read.
+    EXPECT_EQ(test::cells(sharded.snapshot_flat(container, 3)),
+              test::cells(plain.snapshot_flat(container)));
+  }
+
+  // Column x at wave 1 holds version 1 of every row; the fresh cell is absent.
+  const auto wave1 = test::cells(sharded.snapshot_flat(ContainerRef::column("t", "x"), 1));
+  ASSERT_EQ(wave1.size(), 60u);
+  for (const auto& [row, column, value] : wave1) {
+    EXPECT_NE(row, "a_fresh");
+    EXPECT_EQ(value, std::stod(row.substr(4))) << row;
+  }
+  const auto wave2 = test::cells(sharded.snapshot_flat(ContainerRef("t", "", "a"), 2));
+  EXPECT_EQ(wave2.size(), 40u);  // 20 "a" rows x {x, y}
+  for (const auto& [row, column, value] : wave2) EXPECT_NE(row, "a_fresh");
+  EXPECT_EQ(sharded.snapshot_flat(ContainerRef("t", "", "a"), 3).size(), 41u);
 }
 
 TEST(AsOfReads, HistoryDeeperThanRetentionIsGone) {

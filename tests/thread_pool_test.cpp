@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/thread_pool.h"
 #include "core/experiment.h"
+#include "snapshot_util.h"
 #include "workloads/aqhi/aqhi.h"
 
 namespace smartflux {
@@ -117,8 +118,8 @@ TEST(ParallelEngine, MatchesSerialExecutionOnAqhi) {
     ASSERT_EQ(a.executed, b.executed) << "wave " << wave;
   }
   for (const auto& table : serial_store.table_names()) {
-    EXPECT_EQ(serial_store.snapshot(ds::ContainerRef::whole_table(table)),
-              parallel_store.snapshot(ds::ContainerRef::whole_table(table)))
+    EXPECT_EQ(test::cells(serial_store.snapshot_flat(ds::ContainerRef::whole_table(table))),
+              test::cells(parallel_store.snapshot_flat(ds::ContainerRef::whole_table(table))))
         << table;
   }
 }

@@ -232,6 +232,38 @@ TEST(Engine, StepsSeeWaveStampedClient) {
   EXPECT_EQ(store.get("trace", "c", "wave"), 9.0);
 }
 
+TEST(Engine, StepRewritesTheTableItJustRead) {
+  // A read-modify-write of one table inside a step: the step iterates its
+  // snapshot while updating the cells it read and adding a new one. The
+  // snapshot is copied out before the step sees it, so no table lock is held.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ds::ShardOptions so;
+    so.shards = shards;
+    ds::DataStore store(/*max_versions=*/2, so);
+    for (int i = 0; i < 10; ++i) store.put("t", "r" + std::to_string(i), "v", 1, i);
+    StepSpec s = step("double");
+    s.fn = [](StepContext& ctx) {
+      double sum = 0.0;
+      for (const ds::FlatEntry& e : ctx.client.snapshot(ds::ContainerRef::whole_table("t"))) {
+        sum += e.value;
+        ctx.client.put("t", *e.row, *e.col, 2.0 * e.value);
+      }
+      ctx.client.put("t", "total", "v", sum);
+    };
+    WorkflowEngine engine(WorkflowSpec("rewrite", {s}), store);
+    SyncController sync;
+    engine.run_wave(1, sync);
+    EXPECT_EQ(store.get("t", "total", "v"), std::optional<double>{45.0}) << shards;
+    engine.run_wave(2, sync);  // reads the doubled cells and wave 1's total
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(store.get("t", "r" + std::to_string(i), "v"), std::optional<double>{4.0 * i})
+          << shards;
+    }
+    EXPECT_EQ(store.get("t", "total", "v"), std::optional<double>{135.0}) << shards;
+    EXPECT_EQ(store.cell_count("t"), 11u) << shards;
+  }
+}
+
 TEST(Engine, RunWavesReturnsPerWaveResults) {
   ds::DataStore store;
   WorkflowEngine engine(recording_spec(), store);
@@ -367,10 +399,9 @@ TEST(PipelinedWaves, MatchesUnpipelinedExecutionExactly) {
   const auto fingerprint = [](const ds::DataStore& store) {
     std::string out;
     for (const auto& table : store.table_names()) {
-      store.scan_container(ds::ContainerRef::whole_table(table),
-                           [&](const ds::RowKey& r, const ds::ColumnKey& c, double v) {
-                             out += table + "/" + r + "/" + c + "=" + std::to_string(v) + ";";
-                           });
+      for (const ds::FlatEntry& e : store.snapshot_flat(ds::ContainerRef::whole_table(table))) {
+        out += table + "/" + *e.row + "/" + *e.col + "=" + std::to_string(e.value) + ";";
+      }
     }
     return out;
   };

@@ -219,8 +219,10 @@ TEST(Lrb, VehicleCountConservedInPositions) {
   wms::SyncController sync;
   engine.run_wave(1, sync);
   double total = 0.0;
-  store.scan_container(ds::ContainerRef::column("positions", "count"),
-                       [&total](const ds::RowKey&, const ds::ColumnKey&, double v) { total += v; });
+  for (const ds::FlatEntry& e :
+       store.snapshot_flat(ds::ContainerRef::column("positions", "count"))) {
+    total += e.value;
+  }
   EXPECT_EQ(total, 40.0);
 }
 
