@@ -35,14 +35,6 @@ class ContainerRef {
     return true;
   }
 
-  /// `matches` for a cell already known to live in this container's table
-  /// (scan hot path: skips the per-cell table-name compare).
-  bool matches_cell(const RowKey& row, const ColumnKey& column) const {
-    if (has_column() && column != column_) return false;
-    if (has_row_prefix() && row.rfind(row_prefix_, 0) != 0) return false;
-    return true;
-  }
-
   /// Stable identifier used as map key ("table/column/prefix").
   std::string id() const { return table_ + "/" + column_ + "/" + row_prefix_; }
 

@@ -253,7 +253,6 @@ std::uint64_t next_registry_gen() noexcept {
 DataStore::DataStore(std::size_t max_versions, ShardOptions shard_options)
     : max_versions_(max_versions), shard_options_(shard_options), ring_(shard_options) {
   SF_CHECK(max_versions >= 1, "DataStore must retain at least one version");
-  tables_.store(std::make_shared<const TableMap>(), std::memory_order_release);
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
   observers_.store(std::make_shared<const ObserverList>(), std::memory_order_release);
 }
@@ -272,12 +271,18 @@ void DataStore::set_instrumentation(obs::MetricsRegistry* registry, obs::Tracer*
   if (durability_) durability_->wire_metrics(*registry);
 }
 
+std::shared_ptr<const DataStore::TableMap> DataStore::registry_snapshot() const {
+  LockRankScope rank(kLockRankRegistry);
+  std::lock_guard lock(registry_mutex_);
+  return tables_;
+}
+
 std::shared_ptr<DataStore::TableEntry> DataStore::find_entry(const TableName& table) const {
   // Per-thread registry cache: while the registry is unchanged (by far the
   // common case — tables are created once and live forever), a point op pays
-  // one lock-free uint64 load instead of the refcounted atomic-shared_ptr
-  // load. The gen is read *before* the map, so a cached map can never be
-  // older than the gen it is stamped with; a concurrent registry change just
+  // one lock-free uint64 load and no lock. Only a generation miss takes
+  // registry_mutex_, copying the map and its generation together, so the
+  // cached pair is always consistent; a concurrent registry change just
   // invalidates the entry on the next op. The cached shared_ptr keeps the map
   // snapshot alive until this thread touches another store or generation,
   // which is safe (snapshots are immutable) and bounded (one map per thread).
@@ -287,11 +292,12 @@ std::shared_ptr<DataStore::TableEntry> DataStore::find_entry(const TableName& ta
     std::shared_ptr<const TableMap> map;
   };
   static thread_local Cache cache;
-  const auto gen = registry_gen_.load(std::memory_order_acquire);
-  if (cache.store != this || cache.gen != gen) {
-    cache.map = tables_.load(std::memory_order_acquire);
+  if (cache.store != this || cache.gen != registry_gen_.load(std::memory_order_acquire)) {
+    LockRankScope rank(kLockRankRegistry);
+    std::lock_guard lock(registry_mutex_);
+    cache.map = tables_;
     cache.store = this;
-    cache.gen = gen;
+    cache.gen = registry_gen_.load(std::memory_order_relaxed);
   }
   const auto it = cache.map->find(table);
   return it == cache.map->end() ? nullptr : it->second;
@@ -303,9 +309,8 @@ std::shared_ptr<DataStore::TableEntry> DataStore::entry_for(const TableName& tab
   std::lock_guard lock(registry_mutex_);
   // Re-check under the writer lock: another thread may have created it
   // between our lock-free lookup and here.
-  auto snap = tables_.load(std::memory_order_acquire);
-  if (const auto it = snap->find(table); it != snap->end()) return it->second;
-  auto next = std::make_shared<TableMap>(*snap);
+  if (const auto it = tables_->find(table); it != tables_->end()) return it->second;
+  auto next = std::make_shared<TableMap>(*tables_);
   auto entry = std::make_shared<TableEntry>(max_versions_, shards());
   next->emplace(table, entry);
   if (durability_) {
@@ -316,7 +321,7 @@ std::shared_ptr<DataStore::TableEntry> DataStore::entry_for(const TableName& tab
       writer.append_create_table(table, lsn);
     });
   }
-  tables_.store(std::shared_ptr<const TableMap>(std::move(next)), std::memory_order_release);
+  tables_ = std::move(next);
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
   return entry;
 }
@@ -611,8 +616,13 @@ FlatSnapshot DataStore::gather(const ContainerRef& container, Scan scan) const {
   const auto entry = find_entry(container.table());
   FlatSnapshot out;
   if (entry != nullptr) {
-    const bool unfiltered = !container.has_column() && !container.has_row_prefix();
+    const std::string& prefix = container.row_prefix();
+    const std::string& column = container.column_key();
     std::vector<FlatEntry> entries;
+    // runs[i] is where slot i's (row, column)-ordered run starts; runs.back()
+    // is the end of the last one.
+    std::vector<std::size_t> runs;
+    runs.reserve(entry->slots.size() + 1);
     {
       // Every slot shared, in index order (same-rank order rule).
       LockRankScope table_rank(kLockRankTable);
@@ -623,27 +633,37 @@ FlatSnapshot DataStore::gather(const ContainerRef& container, Scan scan) const {
         locks.emplace_back(slot->mutex);
         cells += slot->table.cell_count();
       }
-      if (unfiltered) entries.reserve(cells);
+      if (prefix.empty() && column.empty()) entries.reserve(cells);
       for (const auto& slot : entry->slots) {
-        scan(slot->table, [&](const Table::CellView& cv) {
-          if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
+        runs.push_back(entries.size());
+        scan(slot->table, prefix, [&](const Table::CellView& cv) {
+          if (column.empty() || *cv.col == column) {
             entries.push_back(FlatEntry{cv.id, cv.row, cv.col, cv.value});
           }
         });
       }
+      runs.push_back(entries.size());
     }
     if (entry->slots.size() == 1) {
       out = FlatSnapshot(entry, &entry->slots[0]->table, std::move(entries));
     } else {
-      // Each slot only holds its own arc of the ring, so the union needs a
-      // sort to restore (row, column) order. keyspace = nullptr: packed
-      // interner ids are only unique per slot, so the id fast path
-      // (pointer-equal keyspaces) must not engage; consumers fall back to
-      // string keys.
-      std::sort(entries.begin(), entries.end(), [](const FlatEntry& a, const FlatEntry& b) {
+      // Each slot holds its own arc of the ring, so the union is one sorted
+      // run per slot; a row lives in exactly one slot, so merging adjacent
+      // runs pairwise restores (row, column) order in O(k log slots).
+      // keyspace = nullptr: packed interner ids are only unique per slot,
+      // so the id fast path (pointer-equal keyspaces) must not engage;
+      // consumers fall back to string keys.
+      const auto before = [](const FlatEntry& a, const FlatEntry& b) {
         const int cmp = a.row->compare(*b.row);
         return cmp != 0 ? cmp < 0 : a.col->compare(*b.col) < 0;
-      });
+      };
+      const std::size_t slots = entry->slots.size();
+      const auto at = [&](std::size_t run) { return entries.begin() + runs[run]; };
+      for (std::size_t width = 1; width < slots; width *= 2) {
+        for (std::size_t i = 0; i + width < slots; i += 2 * width) {
+          std::inplace_merge(at(i), at(i + width), at(std::min(i + 2 * width, slots)), before);
+        }
+      }
       out = FlatSnapshot(entry, nullptr, std::move(entries));
     }
   }
@@ -658,13 +678,16 @@ FlatSnapshot DataStore::gather(const ContainerRef& container, Scan scan) const {
 }
 
 FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
-  return gather(container, [](const Table& table, const auto& visit) { table.scan_cells(visit); });
+  return gather(container, [](const Table& table, std::string_view prefix, const auto& visit) {
+    table.scan_cells(prefix, visit);
+  });
 }
 
 FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container, Timestamp as_of) const {
-  return gather(container, [as_of](const Table& table, const auto& visit) {
-    table.scan_cells_at(as_of, visit);
-  });
+  const auto scan = [as_of](const Table& table, std::string_view prefix, const auto& visit) {
+    table.scan_cells_at(prefix, as_of, visit);
+  };
+  return gather(container, scan);
 }
 
 std::size_t DataStore::cell_count(const TableName& table) const {
@@ -679,14 +702,10 @@ std::size_t DataStore::cell_count(const TableName& table) const {
   return n;
 }
 
-std::size_t DataStore::container_cell_count(const ContainerRef& container) const {
-  return snapshot_flat(container).size();
-}
-
 bool DataStore::has_table(const TableName& table) const { return find_entry(table) != nullptr; }
 
 std::vector<TableName> DataStore::table_names() const {
-  const auto snap = tables_.load(std::memory_order_acquire);
+  const auto snap = registry_snapshot();
   std::vector<TableName> out;
   out.reserve(snap->size());
   for (const auto& [name, _] : *snap) out.push_back(name);
@@ -696,16 +715,15 @@ std::vector<TableName> DataStore::table_names() const {
 void DataStore::drop_table(const TableName& table) {
   LockRankScope rank(kLockRankRegistry);
   std::lock_guard lock(registry_mutex_);
-  const auto snap = tables_.load(std::memory_order_acquire);
-  if (!snap->contains(table)) return;
-  auto next = std::make_shared<TableMap>(*snap);
+  if (!tables_->contains(table)) return;
+  auto next = std::make_shared<TableMap>(*tables_);
   next->erase(table);
   if (durability_) {
     durability_->broadcast([&table](WalWriter& writer, std::optional<std::uint64_t> lsn) {
       writer.append_drop_table(table, lsn);
     });
   }
-  tables_.store(std::shared_ptr<const TableMap>(std::move(next)), std::memory_order_release);
+  tables_ = std::move(next);
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
 }
 
@@ -717,7 +735,7 @@ void DataStore::clear() {
       writer.append_clear(lsn);
     });
   }
-  tables_.store(std::make_shared<const TableMap>(), std::memory_order_release);
+  tables_ = std::make_shared<const TableMap>();
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
 }
 
@@ -791,7 +809,7 @@ void remove_superseded(const std::string& dir, std::uint64_t cut) {
 
 void DataStore::enable_durability(const std::string& dir, DurabilityOptions options) {
   SF_CHECK(durability_ == nullptr, "durability is already enabled on this store");
-  SF_CHECK(tables_.load(std::memory_order_acquire)->empty(),
+  SF_CHECK(registry_snapshot()->empty(),
            "enable_durability requires an empty store; attach to an existing data dir "
            "with DataStore::recover");
   std::filesystem::create_directories(dir);
@@ -1096,7 +1114,7 @@ void DataStore::set_memory_options(MemoryOptions options) {
 }
 
 std::size_t DataStore::approx_memory_bytes() const {
-  const auto snap = tables_.load(std::memory_order_acquire);
+  const auto snap = registry_snapshot();
   std::size_t total = 0;
   LockRankScope table_rank(kLockRankTable);
   for (const auto& [name, entry] : *snap) {
@@ -1109,7 +1127,7 @@ std::size_t DataStore::approx_memory_bytes() const {
 }
 
 std::size_t DataStore::trim_superseded(std::size_t keep_versions) {
-  const auto snap = tables_.load(std::memory_order_acquire);
+  const auto snap = registry_snapshot();
   std::size_t dropped = 0;
   LockRankScope table_rank(kLockRankTable);
   for (const auto& [name, entry] : *snap) {
@@ -1180,7 +1198,7 @@ void DataStore::checkpoint() {
     // exactly the effects of segments <= cut, across every family.
     LockRankScope registry_rank(kLockRankRegistry);
     std::lock_guard registry_lock(registry_mutex_);
-    const auto snap = tables_.load(std::memory_order_acquire);
+    const auto snap = tables_;
     LockRankScope table_rank(kLockRankTable);
     std::vector<std::shared_lock<std::shared_mutex>> table_locks;
     for (const auto& [name, entry] : *snap) {
@@ -1216,7 +1234,7 @@ void DataStore::checkpoint() {
       table.name = name;
       for (const auto& slot : entry->slots) {
         table.cells.reserve(table.cells.size() + slot->table.cell_count());
-        slot->table.scan_cells([&](const Table::CellView& cv) {
+        slot->table.scan_cells({}, [&](const Table::CellView& cv) {
           CheckpointTable::Cell cell;
           cell.row = *cv.row;
           cell.column = *cv.col;

@@ -78,9 +78,10 @@ struct MemoryStats {
 ///    excludes. With durability on, each shard also owns its own WAL segment
 ///    family, so concurrent writers to different shards never contend on one
 ///    log mutex and fsyncs amortize per shard.
-///  - The table registry is RCU-style (an atomically swapped immutable map
-///    snapshot), so point ops never touch a registry mutex; only table
-///    creation/drop serializes on one.
+///  - The table registry is an immutable map snapshot swapped under a
+///    mutex on table creation/drop. Point ops validate a per-thread copy
+///    against a generation counter with one atomic load, so they take the
+///    registry mutex only after the registry changed.
 ///  - The observer list is copy-on-write: writers grab an immutable
 ///    snapshot of it per op (or once per batch) with a single atomic load.
 ///  - Lock order (asserted in debug builds, see common/lock_rank.h):
@@ -142,7 +143,11 @@ class DataStore {
   /// the table's shared locks, which are released before the snapshot is
   /// returned, so callers may read and write the store, the same table
   /// included, while iterating. The snapshot stays valid after
-  /// `drop_table`/`clear` (it keeps the source table alive).
+  /// `drop_table`/`clear` (it keeps the source table alive). Cost per slot
+  /// is O(log n + k) for k returned cells: each slot binary-searches its
+  /// sorted index to the row prefix, and with several shards the per-slot
+  /// runs are merged, not re-sorted. A column-only container still walks
+  /// the (prefix-bounded) run and drops other columns.
   FlatSnapshot snapshot_flat(const ContainerRef& container) const;
 
   /// As-of-wave snapshot_flat: each cell's value as of `as_of`, leaving out
@@ -158,7 +163,6 @@ class DataStore {
                                          const ColumnKey& column) const;
 
   std::size_t cell_count(const TableName& table) const;
-  std::size_t container_cell_count(const ContainerRef& container) const;
   bool has_table(const TableName& table) const;
   std::vector<TableName> table_names() const;
   void drop_table(const TableName& table);
@@ -274,8 +278,11 @@ class DataStore {
   struct StoreObs;     ///< pre-resolved metric handles (datastore.cpp)
   struct Durability;   ///< WAL writer + checkpoint bookkeeping (datastore.cpp)
 
-  /// Existing entry or nullptr, via one atomic registry-snapshot load.
+  /// Existing entry or nullptr. Lock-free on a warm per-thread cache; a
+  /// registry-generation miss copies the map under registry_mutex_.
   std::shared_ptr<TableEntry> find_entry(const TableName& table) const;
+  /// The current registry map, copied under registry_mutex_.
+  std::shared_ptr<const TableMap> registry_snapshot() const;
   /// Existing entry, or creates one (copy-on-write registry swap), logging a
   /// create-table record (broadcast to every WAL family) when durable.
   std::shared_ptr<TableEntry> entry_for(const TableName& table);
@@ -286,11 +293,12 @@ class DataStore {
                          const std::vector<std::uint32_t>& indices,
                          std::vector<std::pair<double, bool>>* previous);
   /// The body of both snapshot_flat overloads. Locks every slot of the
-  /// container's table shared in index order, collects the matching cells
-  /// through `scan(table, visit)` (Table::scan_cells or scan_cells_at),
-  /// restores (row, column) order across slots, and counts, times and
-  /// traces the read as one scan. Templated on `scan` so the latest-version
-  /// loop carries no as-of branch.
+  /// container's table shared in index order, seeks each slot to the
+  /// container's row prefix through `scan(table, prefix, visit)`
+  /// (Table::scan_cells or scan_cells_at), keeps the container's column,
+  /// merges the per-slot sorted runs back into (row, column) order, and
+  /// counts, times and traces the read as one scan. Templated on `scan` so
+  /// the latest-version loop carries no as-of branch.
   template <typename Scan>
   FlatSnapshot gather(const ContainerRef& container, Scan scan) const;
   /// Installs an open WAL + bookkeeping (shared by enable_durability and
@@ -315,12 +323,15 @@ class DataStore {
   /// shard.
   std::unique_ptr<Durability> durability_;
 
-  mutable std::mutex registry_mutex_;  ///< serializes table create/drop/clear only
-  std::atomic<std::shared_ptr<const TableMap>> tables_;
-  /// Globally unique stamp of the current `tables_` snapshot (bumped on every
-  /// create/drop/clear). Point ops validate a per-thread registry cache
-  /// against it with one lock-free load, skipping the refcounted
-  /// atomic-shared_ptr load while the registry is unchanged (find_entry).
+  /// Guards `tables_`: table create/drop/clear swap it, and readers copy it
+  /// only on a registry-generation miss (find_entry) or in the rare
+  /// whole-store sweeps (registry_snapshot).
+  mutable std::mutex registry_mutex_;
+  std::shared_ptr<const TableMap> tables_ = std::make_shared<const TableMap>();
+  /// Globally unique stamp of the current `tables_` snapshot (bumped under
+  /// registry_mutex_ on every create/drop/clear). Point ops validate a
+  /// per-thread registry cache against it with one lock-free load, so a
+  /// warm thread takes no lock while the registry is unchanged (find_entry).
   std::atomic<std::uint64_t> registry_gen_;
 
   MemoryOptions memory_options_;

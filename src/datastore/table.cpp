@@ -217,6 +217,21 @@ void Table::ensure_sorted() const {
   sorted_valid_.store(true, std::memory_order_release);
 }
 
+std::span<const std::uint32_t> Table::prefix_range(std::string_view prefix) const {
+  ensure_sorted();
+  const std::uint32_t* first = sorted_.data();
+  const std::uint32_t* last = first + sorted_.size();
+  if (prefix.empty()) return {first, last};
+  const auto row = [this](std::uint32_t cell) -> std::string_view {
+    return rows_.key(cell_row_[cell]);
+  };
+  first = std::partition_point(first, last,
+                               [&](std::uint32_t cell) { return row(cell) < prefix; });
+  last = std::partition_point(first, last,
+                              [&](std::uint32_t cell) { return row(cell).starts_with(prefix); });
+  return {first, last};
+}
+
 std::size_t Table::approx_bytes() const {
   const auto vec_bytes = [](const auto& v) {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -72,38 +73,28 @@ class Table {
   /// Full retained history, newest first.
   std::vector<CellVersion> versions(std::string_view row, std::string_view column) const;
 
-  /// Visits every live cell in (row, column) string order with zero-copy
-  /// key views — the primitive scans and snapshots are built from.
-  /// Templated so the per-cell call inlines into the caller's loop.
+  /// Visits every live cell whose row key starts with `row_prefix` (every
+  /// cell for an empty prefix) in (row, column) string order, with
+  /// zero-copy key views — the primitive scans and snapshots are built
+  /// from. Seeks: O(log n + k) for k cells visited. Templated so the
+  /// per-cell call inlines into the caller's loop.
   template <typename Visitor>
-  void scan_cells(Visitor&& visit) const {
-    ensure_sorted();
-    for (const std::uint32_t cell : sorted_) {
-      CellView view;
-      view.id = pack(cell_row_[cell], cell_col_[cell]);
-      view.row = rows_.key_ptr(cell_row_[cell]);
-      view.col = cols_.key_ptr(cell_col_[cell]);
-      view.value = version_slots_[static_cast<std::size_t>(cell) * max_versions_].value;
-      visit(view);
+  void scan_cells(std::string_view row_prefix, Visitor&& visit) const {
+    for (const std::uint32_t cell : prefix_range(row_prefix)) {
+      visit(view_of(cell, static_cast<std::size_t>(cell) * max_versions_));
     }
   }
 
-  /// As-of variant of scan_cells: visits every cell that has a version with
-  /// timestamp <= ts, in the same (row, column) order, with the value as of
-  /// ts. Cells created only after ts (a pipelined wave's fresh ingest) are
-  /// skipped entirely.
+  /// As-of variant of scan_cells: visits every cell under `row_prefix` that
+  /// has a version with timestamp <= ts, in the same (row, column) order,
+  /// with the value as of ts. Cells created only after ts (a pipelined
+  /// wave's fresh ingest) are skipped entirely.
   template <typename Visitor>
-  void scan_cells_at(Timestamp ts, Visitor&& visit) const {
-    ensure_sorted();
-    for (const std::uint32_t cell : sorted_) {
+  void scan_cells_at(std::string_view row_prefix, Timestamp ts, Visitor&& visit) const {
+    for (const std::uint32_t cell : prefix_range(row_prefix)) {
       const std::size_t at = version_at(cell, ts);
       if (at >= max_versions_) continue;
-      CellView view;
-      view.id = pack(cell_row_[cell], cell_col_[cell]);
-      view.row = rows_.key_ptr(cell_row_[cell]);
-      view.col = cols_.key_ptr(cell_col_[cell]);
-      view.value = version_slots_[static_cast<std::size_t>(cell) * max_versions_ + at].value;
-      visit(view);
+      visit(view_of(cell, static_cast<std::size_t>(cell) * max_versions_ + at));
     }
   }
 
@@ -149,6 +140,15 @@ class Table {
   /// (Re)builds `sorted_` if a structural change invalidated it. Safe under
   /// concurrent readers; see the .cpp for the synchronization argument.
   void ensure_sorted() const;
+  /// The run of `sorted_` (rebuilt first if stale) whose rows start with
+  /// `prefix`: two binary searches over row keys, so O(log n) string
+  /// compares. Rows sharing a prefix are contiguous in byte order, which is
+  /// std::string's order.
+  std::span<const std::uint32_t> prefix_range(std::string_view prefix) const;
+  CellView view_of(std::uint32_t cell, std::size_t slot) const noexcept {
+    return CellView{pack(cell_row_[cell], cell_col_[cell]), rows_.key_ptr(cell_row_[cell]),
+                    cols_.key_ptr(cell_col_[cell]), version_slots_[slot].value};
+  }
 
   std::size_t max_versions_;
 

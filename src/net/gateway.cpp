@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "common/format.h"
 #include "core/smartflux.h"
 #include "datastore/datastore.h"
 #include "obs/export.h"
@@ -19,18 +20,6 @@ namespace {
 /// chunked framing and syscalls, far enough under any sane max_write_buffer
 /// that the producer contract ("stay well under the bound") holds.
 constexpr std::size_t kScanChunkBytes = 32 * 1024;
-
-std::string format_value(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void append_value(std::string& out, double v) {
-  char buf[64];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
-  out.append(buf, static_cast<std::size_t>(n));
-}
 
 Response missing_param(const char* name) {
   return json_response(400, std::string("{\"error\":\"missing query parameter '") + name +
@@ -127,14 +116,14 @@ void append_scan_entry(std::string& out, const ds::FlatEntry& entry, bool ndjson
     out += "\",\"col\":\"";
     out += obs::json_escape(*entry.col);
     out += "\",\"value\":";
-    append_value(out, entry.value);
+    append_double(out, entry.value);
     out += "}\n";
   } else {
     out += *entry.row;
     out += ',';
     out += *entry.col;
     out += ',';
-    append_value(out, entry.value);
+    append_double(out, entry.value);
     out += '\n';
   }
 }
@@ -150,7 +139,7 @@ void install_reads(Router& router, ds::DataStore* store) {
                if (!col) return missing_param("col");
                const auto value = store->get(*table, *row, *col);
                if (!value) return json_response(404, "{\"error\":\"no such cell\"}\n");
-               return json_response(200, "{\"value\":" + format_value(*value) + "}\n");
+               return json_response(200, "{\"value\":" + format_double(*value) + "}\n");
              });
 
   // Scans are served from a FlatSnapshot: the container is copied out under

@@ -6,19 +6,12 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/format.h"
 #include "common/fsync.h"
 
 namespace smartflux::obs {
 
 namespace {
-
-/// Formats a double the way Prometheus expects: plain decimal / scientific,
-/// shortest round-trippable form is not required — %.17g is always valid.
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 std::string label_block(const Labels& labels, const std::string& extra_key = "",
                         const std::string& extra_value = "") {

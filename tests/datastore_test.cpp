@@ -95,7 +95,7 @@ TEST(Table, ScanVisitsInRowColumnOrder) {
   t.put("a", "x", 1, 1.0);
   t.put("b", "x", 1, 3.0);
   std::vector<std::pair<RowKey, ColumnKey>> visited;
-  t.scan_cells([&](const Table::CellView& cv) { visited.emplace_back(*cv.row, *cv.col); });
+  t.scan_cells({}, [&](const Table::CellView& cv) { visited.emplace_back(*cv.row, *cv.col); });
   ASSERT_EQ(visited.size(), 3u);
   EXPECT_EQ(visited[0], (std::pair<RowKey, ColumnKey>{"a", "x"}));
   EXPECT_EQ(visited[1], (std::pair<RowKey, ColumnKey>{"b", "x"}));
@@ -198,7 +198,7 @@ TEST(DataStore, ContainerCellCount) {
   store.put("t", "x1_a", "c", 1, 1.0);
   store.put("t", "x1_b", "c", 1, 1.0);
   store.put("t", "x2_a", "c", 1, 1.0);
-  EXPECT_EQ(store.container_cell_count(ContainerRef{"t", "", "x1_"}), 2u);
+  EXPECT_EQ(store.snapshot_flat(ContainerRef{"t", "", "x1_"}).size(), 2u);
   EXPECT_EQ(store.cell_count("t"), 3u);
 }
 

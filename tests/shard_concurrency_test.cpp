@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <map>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -305,6 +306,31 @@ TEST(AsOfReads, SnapshotMatchesAcrossShardCounts) {
   EXPECT_EQ(wave2.size(), 40u);  // 20 "a" rows x {x, y}
   for (const auto& [row, column, value] : wave2) EXPECT_NE(row, "a_fresh");
   EXPECT_EQ(sharded.snapshot_flat(ContainerRef("t", "", "a"), 3).size(), 41u);
+
+  // 8 shards (a 3-level merge of per-slot runs) equal 1 shard on seeded
+  // random row prefixes, latest and as of every wave.
+  so.shards = 8;
+  DataStore eight(/*max_versions=*/3, so);
+  for (const FlatEntry& e : plain.snapshot_flat(ContainerRef::whole_table("t"), 1)) {
+    eight.put("t", *e.row, *e.col, 1, e.value);
+  }
+  for (const FlatEntry& e : plain.snapshot_flat(ContainerRef::whole_table("t"), 2)) {
+    eight.put("t", *e.row, *e.col, 2, e.value);
+  }
+  eight.put("t", "a_fresh", "x", 3, 99.0);
+  std::mt19937_64 rng(8);
+  for (int i = 0; i < 100; ++i) {
+    std::string prefix = (rng() % 2 == 0 ? "a" : "b") + row_name(rng() % 70);
+    prefix.resize(rng() % (prefix.size() + 1));
+    const ContainerRef container("t", rng() % 3 == 0 ? "y" : "", prefix);
+    EXPECT_EQ(test::cells(eight.snapshot_flat(container)),
+              test::cells(plain.snapshot_flat(container)))
+        << container.id();
+    const Timestamp wave = 1 + rng() % 3;
+    EXPECT_EQ(test::cells(eight.snapshot_flat(container, wave)),
+              test::cells(plain.snapshot_flat(container, wave)))
+        << container.id() << " @" << wave;
+  }
 }
 
 TEST(AsOfReads, HistoryDeeperThanRetentionIsGone) {
