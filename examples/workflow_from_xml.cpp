@@ -5,7 +5,9 @@
 // code in a real WMS.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "common/hashing.h"
 #include "core/smartflux.h"
@@ -46,6 +48,11 @@ constexpr const char* kDefinition = R"(<?xml version="1.0"?>
   </action>
 </workflow-app>)";
 
+// Row keys are built by appending: g++ 12 at -O3 flags `"g" + std::to_string(n)`
+// with a false -Wrestrict inside libstdc++'s string insert.
+std::string gauge_row(std::uint64_t g) { return std::string("g").append(std::to_string(g)); }
+std::string basin_row(std::uint64_t b) { return std::string("b").append(std::to_string(b)); }
+
 }  // namespace
 
 int main() {
@@ -58,16 +65,16 @@ int main() {
       const double level = 2.0 + 0.8 * std::sin(0.26 * static_cast<double>(ctx.wave) +
                                                 static_cast<double>(g) * 0.4) +
                            0.3 * smooth_noise(3, g, ctx.wave, 6);
-      ctx.client.put("gauges", "g" + std::to_string(g), "level", level);
+      ctx.client.put("gauges", gauge_row(g), "level", level);
     }
   });
   registry.register_step("aggregate_basins", [](wms::StepContext& ctx) {
     for (std::uint64_t basin = 0; basin < 4; ++basin) {
       double sum = 0.0;
       for (std::uint64_t g = basin * 6; g < (basin + 1) * 6; ++g) {
-        sum += ctx.client.get("gauges", "g" + std::to_string(g), "level").value_or(0.0);
+        sum += ctx.client.get("gauges", gauge_row(g), "level").value_or(0.0);
       }
-      ctx.client.put("basins", "b" + std::to_string(basin), "level", sum / 6.0);
+      ctx.client.put("basins", basin_row(basin), "level", sum / 6.0);
     }
   });
   registry.register_step("bulletin", [](wms::StepContext& ctx) {

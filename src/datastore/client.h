@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -11,10 +12,10 @@ namespace smartflux::ds {
 
 /// Adapted client library handed to processing steps (the paper's
 /// "Application Libraries" integration option, §4): same get/put/delete shape
-/// as the native store client, but every write flows through the shared
-/// DataStore whose observers feed SmartFlux monitoring. A Client is bound to
-/// the timestamp (wave) the step is executing in, so steps never manage
-/// timestamps themselves.
+/// as the native store client, but every write lands in the shared DataStore
+/// stamped with the wave, where SmartFlux monitoring reads it back as of that
+/// wave (DataStore::snapshot_flat). A Client is bound to the timestamp (wave)
+/// the step is executing in, so steps never manage timestamps themselves.
 class Client {
  public:
   /// Hook invoked before every write reaches the store; throwing from it
@@ -33,8 +34,8 @@ class Client {
     store_->put(table, row, column, wave_, value);
   }
 
-  /// Batched put: all cells land under one table-lock acquisition with a
-  /// single observer-list snapshot (DataStore::put_batch). The write hook
+  /// Batched put: all cells land under one table-lock acquisition per shard
+  /// (DataStore::put_batch). The write hook
   /// runs per cell *before* anything is applied, in op order; if it throws
   /// at cell k, the preceding k cells are still applied (matching what a
   /// put() loop would have done) and the exception propagates.

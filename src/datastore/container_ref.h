@@ -27,14 +27,6 @@ class ContainerRef {
   bool has_column() const noexcept { return !column_.empty(); }
   bool has_row_prefix() const noexcept { return !row_prefix_.empty(); }
 
-  /// True when a mutation of (table, row, column) falls inside this container.
-  bool matches(const TableName& table, const RowKey& row, const ColumnKey& column) const {
-    if (table != table_) return false;
-    if (has_column() && column != column_) return false;
-    if (has_row_prefix() && row.rfind(row_prefix_, 0) != 0) return false;
-    return true;
-  }
-
   /// Stable identifier used as map key ("table/column/prefix").
   std::string id() const { return table_ + "/" + column_ + "/" + row_prefix_; }
 

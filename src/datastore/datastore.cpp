@@ -254,7 +254,6 @@ DataStore::DataStore(std::size_t max_versions, ShardOptions shard_options)
     : max_versions_(max_versions), shard_options_(shard_options), ring_(shard_options) {
   SF_CHECK(max_versions >= 1, "DataStore must retain at least one version");
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
-  observers_.store(std::make_shared<const ObserverList>(), std::memory_order_release);
 }
 
 DataStore::~DataStore() = default;
@@ -338,11 +337,10 @@ void DataStore::put(const TableName& table, const RowKey& row, const ColumnKey& 
   const std::size_t shard = ring_.shard_of(row);
   if (obs_ && !obs_->shard_ops.empty()) obs_->shard_ops[shard]->inc();
   Slot& slot = *entry->slots[shard];
-  std::optional<double> previous;
   {
     LockRankScope table_rank(kLockRankTable);
     std::unique_lock lock(slot.mutex);
-    previous = slot.table.put(row, column, ts, value);
+    slot.table.put(row, column, ts, value);
     if (durability_) {
       // Log under the slot lock so WAL order matches apply order for this
       // shard; the family mutex ranks below every table lock (see
@@ -352,19 +350,6 @@ void DataStore::put(const TableName& table, const RowKey& row, const ColumnKey& 
       std::lock_guard wal_lock(family.mutex);
       family.writer->append_put(table, row, column, ts, value);
     }
-  }
-  if (observer_count_.load(std::memory_order_acquire) != 0) {
-    const auto observers = observer_snapshot();
-    Mutation m;
-    m.kind = MutationKind::kPut;
-    m.table = table;
-    m.row = row;
-    m.column = column;
-    m.timestamp = ts;
-    m.new_value = value;
-    m.old_value = previous.value_or(0.0);
-    m.had_old_value = previous.has_value();
-    for (const auto& [_, observe] : *observers) observe(m);
   }
   if (timed) obs_->put_latency->observe(StoreObs::seconds_since(t0));
 }
@@ -378,13 +363,6 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
     t0 = std::chrono::steady_clock::now();
   }
   const auto entry = entry_for(table);
-  std::shared_ptr<const ObserverList> observers;
-  if (observer_count_.load(std::memory_order_acquire) != 0) observers = observer_snapshot();
-  const bool want_mutations = observers != nullptr && !observers->empty();
-  // (old value, had old) per op, at the op's ORIGINAL index — sub-batches of
-  // different shards write disjoint slots of it concurrently.
-  std::vector<std::pair<double, bool>> previous;
-  if (want_mutations) previous.resize(ops.size());
 
   if (shards() == 1) {
     // Unsharded fast path: one lock, one WAL record — byte-identical
@@ -394,10 +372,9 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
     std::unique_lock lock(slot.mutex);
     std::size_t applied = 0;
     try {
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto prev = slot.table.put(ops[i].row, ops[i].column, ts, ops[i].value);
+      for (const PutOp& op : ops) {
+        slot.table.put(op.row, op.column, ts, op.value);
         ++applied;
-        if (want_mutations) previous[i] = {prev.value_or(0.0), prev.has_value()};
       }
     } catch (...) {
       // A mid-batch failure (timestamp regression) leaves a prefix applied;
@@ -432,15 +409,14 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
     if (obs_ && !obs_->shard_ops.empty()) {
       for (const std::size_t shard : hit) obs_->shard_ops[shard]->inc(by_shard[shard].size());
     }
-    auto* previous_out = want_mutations ? &previous : nullptr;
     ThreadPool* pool = shard_options_.batch_pool;
     if (pool != nullptr && hit.size() > 1 &&
         ops.size() >= shard_options_.parallel_batch_min_ops) {
       std::vector<std::function<void()>> tasks;
       tasks.reserve(hit.size());
       for (const std::size_t shard : hit) {
-        tasks.push_back([this, &table, entry, shard, ts, ops, &by_shard, previous_out] {
-          apply_shard_batch(table, *entry, shard, ts, ops, by_shard[shard], previous_out);
+        tasks.push_back([this, &table, entry, shard, ts, ops, &by_shard] {
+          apply_shard_batch(table, *entry, shard, ts, ops, by_shard[shard]);
         });
       }
       // Caller-participating run_all: safe even when the calling step itself
@@ -450,32 +426,17 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
       pool->run_all(std::move(tasks));
     } else {
       for (const std::size_t shard : hit) {
-        apply_shard_batch(table, *entry, shard, ts, ops, by_shard[shard], previous_out);
+        apply_shard_batch(table, *entry, shard, ts, ops, by_shard[shard]);
       }
     }
   }
 
-  if (want_mutations) {
-    Mutation m;
-    m.kind = MutationKind::kPut;
-    m.table = table;
-    m.timestamp = ts;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      m.row.assign(ops[i].row);
-      m.column.assign(ops[i].column);
-      m.new_value = ops[i].value;
-      m.old_value = previous[i].first;
-      m.had_old_value = previous[i].second;
-      for (const auto& [_, observe] : *observers) observe(m);
-    }
-  }
   if (obs_) obs_->batch_latency->observe(StoreObs::seconds_since(t0));
 }
 
 void DataStore::apply_shard_batch(const TableName& table, TableEntry& entry, std::size_t shard,
                                   Timestamp ts, std::span<const PutOp> ops,
-                                  const std::vector<std::uint32_t>& indices,
-                                  std::vector<std::pair<double, bool>>* previous) {
+                                  const std::vector<std::uint32_t>& indices) {
   // Materialize the sub-batch once: it is both the apply order and the ONE
   // WAL record for this shard, so replaying the family reproduces exactly
   // what this slot applied.
@@ -488,12 +449,9 @@ void DataStore::apply_shard_batch(const TableName& table, TableEntry& entry, std
   std::unique_lock lock(slot.mutex);
   std::size_t applied = 0;
   try {
-    for (std::size_t j = 0; j < sub.size(); ++j) {
-      const auto prev = slot.table.put(sub[j].row, sub[j].column, ts, sub[j].value);
+    for (const PutOp& op : sub) {
+      slot.table.put(op.row, op.column, ts, op.value);
       ++applied;
-      if (previous != nullptr) {
-        (*previous)[indices[j]] = {prev.value_or(0.0), prev.has_value()};
-      }
     }
   } catch (...) {
     // Same prefix rule as the unsharded batch, per shard: log exactly what
@@ -522,32 +480,15 @@ void DataStore::erase(const TableName& table, const RowKey& row, const ColumnKey
   const std::size_t shard = ring_.shard_of(row);
   if (obs_ && !obs_->shard_ops.empty()) obs_->shard_ops[shard]->inc();
   Slot& slot = *entry->slots[shard];
-  std::optional<double> removed;
-  {
-    LockRankScope table_rank(kLockRankTable);
-    std::unique_lock lock(slot.mutex);
-    removed = slot.table.erase(row, column);
-    if (removed && durability_) {
-      // Erasing an absent cell is not a mutation, so it is not logged.
-      auto& family = *durability_->families[shard];
-      LockRankScope wal_rank(kLockRankWal);
-      std::lock_guard wal_lock(family.mutex);
-      family.writer->append_erase(table, row, column, ts);
-    }
+  LockRankScope table_rank(kLockRankTable);
+  std::unique_lock lock(slot.mutex);
+  if (slot.table.erase(row, column) && durability_) {
+    // Erasing an absent cell is not a mutation, so it is not logged.
+    auto& family = *durability_->families[shard];
+    LockRankScope wal_rank(kLockRankWal);
+    std::lock_guard wal_lock(family.mutex);
+    family.writer->append_erase(table, row, column, ts);
   }
-  if (!removed) return;
-  if (observer_count_.load(std::memory_order_acquire) == 0) return;
-  const auto observers = observer_snapshot();
-  if (observers->empty()) return;
-  Mutation m;
-  m.kind = MutationKind::kDelete;
-  m.table = table;
-  m.row = row;
-  m.column = column;
-  m.timestamp = ts;
-  m.old_value = *removed;
-  m.had_old_value = true;
-  for (const auto& [_, observe] : *observers) observe(m);
 }
 
 std::optional<double> DataStore::get(const TableName& table, const RowKey& row,
@@ -1272,28 +1213,5 @@ std::optional<Timestamp> DataStore::last_committed_wave() const {
 }
 
 std::string DataStore::data_dir() const { return durability_ ? durability_->dir : std::string(); }
-
-std::size_t DataStore::subscribe(MutationObserver observer) {
-  SF_CHECK(static_cast<bool>(observer), "observer must be callable");
-  std::lock_guard lock(observers_mutex_);
-  const std::size_t token = next_token_++;
-  auto next = std::make_shared<ObserverList>(*observers_.load(std::memory_order_acquire));
-  next->emplace_back(token, std::move(observer));
-  const std::size_t count = next->size();
-  observers_.store(std::shared_ptr<const ObserverList>(std::move(next)),
-                   std::memory_order_release);
-  observer_count_.store(count, std::memory_order_release);
-  return token;
-}
-
-void DataStore::unsubscribe(std::size_t token) {
-  std::lock_guard lock(observers_mutex_);
-  auto next = std::make_shared<ObserverList>(*observers_.load(std::memory_order_acquire));
-  std::erase_if(*next, [token](const auto& p) { return p.first == token; });
-  const std::size_t count = next->size();
-  observers_.store(std::shared_ptr<const ObserverList>(std::move(next)),
-                   std::memory_order_release);
-  observer_count_.store(count, std::memory_order_release);
-}
 
 }  // namespace smartflux::ds

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,18 +24,6 @@ class Tracer;
 }  // namespace smartflux::obs
 
 namespace smartflux::ds {
-
-/// Observer callback invoked synchronously for every mutation, equivalent to
-/// the paper's data-store-level Observer / adapted client-library options for
-/// making SmartFlux aware of all updates (§4).
-///
-/// Reentrancy rule: observers run *outside* every store lock (the mutation is
-/// already applied and the table lock released), so an observer may read from
-/// the store — including the table that just changed. Observers must not
-/// *write* to the store: a write would re-enter notification and can recurse
-/// without bound. A slow observer delays only its own writer thread, never
-/// concurrent readers or writers to other tables.
-using MutationObserver = std::function<void(const Mutation&)>;
 
 /// Soft memory ceiling for the store. Crossing soft_limit_bytes at a wave
 /// commit flips the pressure gauge and triggers relief: a checkpoint (on the
@@ -82,8 +69,6 @@ struct MemoryStats {
 ///    mutex on table creation/drop. Point ops validate a per-thread copy
 ///    against a generation counter with one atomic load, so they take the
 ///    registry mutex only after the registry changed.
-///  - The observer list is copy-on-write: writers grab an immutable
-///    snapshot of it per op (or once per batch) with a single atomic load.
 ///  - Lock order (asserted in debug builds, see common/lock_rank.h):
 ///    registry -> table shard slot -> WAL shard family -> durability meta;
 ///    same-rank locks in shard-index order.
@@ -105,20 +90,17 @@ class DataStore {
   void set_instrumentation(obs::MetricsRegistry* registry, obs::Tracer* tracer = nullptr,
                            unsigned latency_sample_shift = 6);
 
-  /// Writes a cell, notifying observers. Creates the table if needed.
+  /// Writes a cell. Creates the table if needed.
   void put(const TableName& table, const RowKey& row, const ColumnKey& column, Timestamp ts,
            double value);
 
   /// Writes a batch of cells into one table under a single exclusive lock
-  /// acquisition, with the observer list snapshotted once for the whole
-  /// batch. Equivalent to a put() loop cell for cell (same versioning, same
-  /// per-mutation observer callbacks in batch order), but writers pay the
-  /// lock, registry lookup and observer-list load once instead of per cell.
-  /// Observers fire after the whole batch has been applied, so an observer
-  /// reading the store may already see later cells of the same batch.
+  /// acquisition per shard. Equivalent to a put() loop cell for cell (same
+  /// versioning, same final state and previous versions), but writers pay
+  /// the lock and registry lookup once instead of per cell.
   void put_batch(const TableName& table, Timestamp ts, std::span<const PutOp> ops);
 
-  /// Deletes a cell (all versions), notifying observers if it existed.
+  /// Deletes a cell (all versions); erasing an absent cell is a no-op.
   void erase(const TableName& table, const RowKey& row, const ColumnKey& column, Timestamp ts);
 
   std::optional<double> get(const TableName& table, const RowKey& row,
@@ -243,11 +225,6 @@ class DataStore {
 
   MemoryStats memory_stats() const;
 
-  /// Registers a mutation observer; returns a token for unsubscribe.
-  /// See MutationObserver for the reentrancy rule.
-  std::size_t subscribe(MutationObserver observer);
-  void unsubscribe(std::size_t token);
-
   std::size_t max_versions() const noexcept { return max_versions_; }
   std::size_t shards() const noexcept { return ring_.shards(); }
   const ShardOptions& shard_options() const noexcept { return shard_options_; }
@@ -274,7 +251,6 @@ class DataStore {
     }
   };
   using TableMap = std::map<TableName, std::shared_ptr<TableEntry>>;
-  using ObserverList = std::vector<std::pair<std::size_t, MutationObserver>>;
   struct StoreObs;     ///< pre-resolved metric handles (datastore.cpp)
   struct Durability;   ///< WAL writer + checkpoint bookkeeping (datastore.cpp)
 
@@ -287,11 +263,10 @@ class DataStore {
   /// create-table record (broadcast to every WAL family) when durable.
   std::shared_ptr<TableEntry> entry_for(const TableName& table);
   /// Applies one sub-batch (the ops of `indices`) to its shard slot and WAL
-  /// family, recording previous values at the ops' original positions.
+  /// family.
   void apply_shard_batch(const TableName& table, TableEntry& entry, std::size_t shard,
                          Timestamp ts, std::span<const PutOp> ops,
-                         const std::vector<std::uint32_t>& indices,
-                         std::vector<std::pair<double, bool>>* previous);
+                         const std::vector<std::uint32_t>& indices);
   /// The body of both snapshot_flat overloads. Locks every slot of the
   /// container's table shared in index order, seeks each slot to the
   /// container's row prefix through `scan(table, prefix, visit)`
@@ -309,9 +284,6 @@ class DataStore {
   void maybe_relieve_memory();
   /// Replays one WAL record into this (not-yet-durable) store.
   void replay_record(const struct WalRecord& record);
-  std::shared_ptr<const ObserverList> observer_snapshot() const {
-    return observers_.load(std::memory_order_acquire);
-  }
 
   std::size_t max_versions_;
   ShardOptions shard_options_;
@@ -338,13 +310,6 @@ class DataStore {
   std::atomic<bool> memory_pressure_{false};
   mutable std::mutex memory_mutex_;  ///< guards memory_stats_
   MemoryStats memory_stats_;
-
-  std::mutex observers_mutex_;  ///< serializes subscribe/unsubscribe only
-  std::atomic<std::shared_ptr<const ObserverList>> observers_;
-  /// Mirror of observers_->size(): lets writers skip the observer-list
-  /// snapshot load entirely on the (common) unobserved store.
-  std::atomic<std::size_t> observer_count_{0};
-  std::size_t next_token_ = 1;  ///< guarded by observers_mutex_
 };
 
 }  // namespace smartflux::ds

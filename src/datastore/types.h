@@ -34,19 +34,4 @@ struct PutOp {
   double value = 0.0;
 };
 
-/// Kind of mutation applied to a cell, reported to write observers.
-enum class MutationKind { kPut, kDelete };
-
-/// A single observed mutation, as delivered to registered observers.
-struct Mutation {
-  MutationKind kind = MutationKind::kPut;
-  TableName table;
-  RowKey row;
-  ColumnKey column;
-  Timestamp timestamp = 0;
-  double new_value = 0.0;   ///< Meaningful for kPut.
-  double old_value = 0.0;   ///< Latest value before this mutation (0 if cell was absent).
-  bool had_old_value = false;
-};
-
 }  // namespace smartflux::ds

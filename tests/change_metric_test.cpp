@@ -6,6 +6,7 @@
 #include "common/hashing.h"
 #include "core/change_metric.h"
 #include "datastore/datastore.h"
+#include "keys.h"
 #include "snapshot_util.h"
 
 namespace smartflux::core {
@@ -146,7 +147,7 @@ TEST_P(MetricProperty, NonNegativeAndZeroOnIdentical) {
   const std::uint64_t seed = GetParam();
   Map prev, cur;
   for (int i = 0; i < 30; ++i) {
-    const auto key = "k" + std::to_string(i);
+    const auto key = test::key("k", i);
     prev[key] = 100.0 * hash_unit(seed, 1, static_cast<std::uint64_t>(i));
     cur[key] = hash_unit(seed, 2, static_cast<std::uint64_t>(i)) < 0.5
                    ? prev[key]
@@ -168,8 +169,8 @@ TEST_P(MetricProperty, RelativeMetricsBounded) {
   const std::uint64_t seed = GetParam();
   Map prev, cur;
   for (int i = 0; i < 20; ++i) {
-    prev["k" + std::to_string(i)] = 50.0 * hash_unit(seed, 10, static_cast<std::uint64_t>(i));
-    cur["k" + std::to_string(i)] = 50.0 * hash_unit(seed, 11, static_cast<std::uint64_t>(i));
+    prev[test::key("k", i)] = 50.0 * hash_unit(seed, 10, static_cast<std::uint64_t>(i));
+    cur[test::key("k", i)] = 50.0 * hash_unit(seed, 11, static_cast<std::uint64_t>(i));
   }
   auto eq2 = make_impact_metric(ImpactKind::kRelative);
   auto eq3 = make_error_metric(ErrorKind::kRelative);
@@ -186,7 +187,7 @@ TEST_P(MetricProperty, Eq1ScalesWithMagnitude) {
   const std::uint64_t seed = GetParam();
   Map prev, cur1, cur2;
   for (int i = 0; i < 10; ++i) {
-    const auto key = "k" + std::to_string(i);
+    const auto key = test::key("k", i);
     prev[key] = 10.0;
     const double d = hash_unit(seed, 20, static_cast<std::uint64_t>(i));
     cur1[key] = 10.0 + d;
@@ -212,14 +213,14 @@ TEST_P(FlatEquivalence, SameStoreMatchesMapPath) {
   ds::DataStore store;
   const auto container = ds::ContainerRef::whole_table("t");
   for (int i = 0; i < 40; ++i) {
-    store.put("t", "r" + std::to_string(i % 13), "c" + std::to_string(i % 5), 1,
+    store.put("t", test::key("r", i % 13), test::key("c", i % 5), 1,
               100.0 * hash_unit(seed, 1, static_cast<std::uint64_t>(i)));
   }
   const auto prev_flat = store.snapshot_flat(container);
   const auto prev_map = test::keyed(prev_flat);
   // Second wave: modify some cells, insert new ones, delete a few.
   for (int i = 0; i < 25; ++i) {
-    store.put("t", "r" + std::to_string(i % 17), "c" + std::to_string(i % 7), 2,
+    store.put("t", test::key("r", i % 17), test::key("c", i % 7), 2,
               100.0 * hash_unit(seed, 2, static_cast<std::uint64_t>(i)));
   }
   store.erase("t", "r1", "c1", 2);
@@ -245,7 +246,7 @@ TEST_P(FlatEquivalence, CrossStoreMatchesMapPath) {
   ds::DataStore fresh_store, stale_store;
   const auto container = ds::ContainerRef::whole_table("t");
   for (int i = 0; i < 30; ++i) {
-    const auto row = "r" + std::to_string(i);
+    const auto row = test::key("r", i);
     fresh_store.put("t", row, "c", 1, 10.0 * hash_unit(seed, 3, static_cast<std::uint64_t>(i)));
     if (i % 4 != 0) {
       stale_store.put("t", row, "c", 1,

@@ -14,7 +14,7 @@
 // thread-heavy tests here are the ones the ThreadSanitizer CI job leans on
 // (SMARTFLUX_SANITIZE=thread): they prove readers genuinely run in parallel
 // with scans and with each other — no hidden global serialization — and that
-// the RCU registry / COW observer list are race-free.
+// the table registry is race-free.
 
 namespace smartflux::ds {
 namespace {
@@ -98,43 +98,34 @@ TEST(DataStoreConcurrency, ConcurrentTableCreationIsRaceFree) {
 }
 
 TEST(DataStoreConcurrency, PutBatchMatchesPutLoop) {
-  // Same ops through put_batch and a put() loop: identical final state,
-  // identical observer mutation stream.
-  std::vector<PutOp> ops;
+  // Same ops through put_batch and a put() loop, over two waves that write
+  // some cells twice within one batch: identical latest and as-of state and
+  // identical previous versions.
+  DataStore batched, looped;
   std::vector<std::string> rows;
   for (std::size_t i = 0; i < 20; ++i) rows.push_back(row_key(i % 7));
-  for (std::size_t i = 0; i < 20; ++i) {
-    ops.push_back({rows[i], i % 2 ? "a" : "b", static_cast<double>(i) * 1.5});
+  for (Timestamp wave = 1; wave <= 2; ++wave) {
+    std::vector<PutOp> ops;
+    for (std::size_t i = 0; i < 20; ++i) {
+      ops.push_back({rows[i], i % 2 ? "a" : "b", static_cast<double>(i + wave * 100) * 1.5});
+    }
+    batched.put_batch("t", wave, ops);
+    for (const auto& op : ops) {
+      looped.put("t", RowKey(op.row), ColumnKey(op.column), wave, op.value);
+    }
   }
 
-  DataStore batched, looped;
-  std::vector<Mutation> batched_muts, looped_muts;
-  batched.subscribe([&](const Mutation& m) { batched_muts.push_back(m); });
-  looped.subscribe([&](const Mutation& m) { looped_muts.push_back(m); });
-
-  batched.put_batch("t", 1, ops);
-  for (const auto& op : ops) {
-    looped.put("t", RowKey(op.row), ColumnKey(op.column), 1, op.value);
-  }
-
-  EXPECT_EQ(test::cells(batched.snapshot_flat(ContainerRef::whole_table("t"))),
-            test::cells(looped.snapshot_flat(ContainerRef::whole_table("t"))));
-  ASSERT_EQ(batched_muts.size(), looped_muts.size());
-  for (std::size_t i = 0; i < batched_muts.size(); ++i) {
-    EXPECT_EQ(batched_muts[i].row, looped_muts[i].row) << i;
-    EXPECT_EQ(batched_muts[i].column, looped_muts[i].column) << i;
-    EXPECT_EQ(batched_muts[i].new_value, looped_muts[i].new_value) << i;
-    EXPECT_EQ(batched_muts[i].old_value, looped_muts[i].old_value) << i;
-    EXPECT_EQ(batched_muts[i].had_old_value, looped_muts[i].had_old_value) << i;
-  }
+  const auto b = test::table_state(batched, "t", 2);
+  const auto l = test::table_state(looped, "t", 2);
+  EXPECT_EQ(b.latest, l.latest);
+  EXPECT_EQ(b.as_of, l.as_of);
+  EXPECT_EQ(b.previous, l.previous);
+  EXPECT_EQ(b.latest.size(), 14u);
 }
 
 TEST(DataStoreConcurrency, EmptyBatchIsANoop) {
   DataStore store;
-  std::size_t notified = 0;
-  store.subscribe([&](const Mutation&) { ++notified; });
   store.put_batch("t", 1, {});
-  EXPECT_EQ(notified, 0u);
   // An empty batch must not even create the table.
   EXPECT_FALSE(store.has_table("t"));
 }
@@ -176,27 +167,6 @@ TEST(DataStoreConcurrency, FlatSnapshotSurvivesDropTable) {
     EXPECT_EQ(*snap.entries()[i].col, "c");
     EXPECT_EQ(snap.entries()[i].value, static_cast<double>(i));
   }
-}
-
-TEST(DataStoreConcurrency, ObserverMayReadStoreDuringNotification) {
-  // The reentrancy rule: observers run outside every lock, so reading the
-  // just-mutated table from inside the callback must not deadlock.
-  DataStore store;
-  std::vector<double> seen;
-  store.subscribe([&](const Mutation& m) {
-    const auto v = store.get(m.table, m.row, m.column);
-    ASSERT_TRUE(v.has_value());
-    seen.push_back(*v);
-    // A full snapshot of the same table is legal too.
-    EXPECT_GE(store.snapshot_flat(ContainerRef::whole_table(m.table)).size(), 1u);
-  });
-  store.put("t", "r", "c", 1, 1.0);
-  std::vector<PutOp> ops{{"r", "c", 2.0}, {"r2", "c", 3.0}};
-  store.put_batch("t", 2, ops);
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], 1.0);
-  EXPECT_EQ(seen[1], 2.0);
-  EXPECT_EQ(seen[2], 3.0);
 }
 
 TEST(DataStoreConcurrency, ClientPutBatchRunsHookPerCell) {

@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "datastore/client.h"
 #include "datastore/datastore.h"
+#include "keys.h"
 #include "snapshot_util.h"
 
 namespace smartflux::ds {
@@ -106,22 +107,34 @@ TEST(Table, RequiresAtLeastOneVersion) {
   EXPECT_THROW(Table t(0), smartflux::InvalidArgument);
 }
 
+// A container's scope is what a read of it returns.
+void fill_scoped(DataStore& store) {
+  store.put("t", "x1_s05", "temp", 1, 1.0);
+  store.put("t", "x1_s05", "wind", 1, 2.0);
+  store.put("t", "x2_s05", "temp", 1, 3.0);
+  store.put("other", "r", "temp", 1, 4.0);
+}
+
 TEST(ContainerRef, WholeTableMatchesEverything) {
-  const auto ref = ContainerRef::whole_table("t");
-  EXPECT_TRUE(ref.matches("t", "anyrow", "anycol"));
-  EXPECT_FALSE(ref.matches("other", "r", "c"));
+  DataStore store;
+  fill_scoped(store);
+  EXPECT_EQ(test::cells(store.snapshot_flat(ContainerRef::whole_table("t"))),
+            (std::vector<test::Cell>{
+                {"x1_s05", "temp", 1.0}, {"x1_s05", "wind", 2.0}, {"x2_s05", "temp", 3.0}}));
 }
 
 TEST(ContainerRef, ColumnScoped) {
-  const auto ref = ContainerRef::column("t", "temp");
-  EXPECT_TRUE(ref.matches("t", "r", "temp"));
-  EXPECT_FALSE(ref.matches("t", "r", "wind"));
+  DataStore store;
+  fill_scoped(store);
+  EXPECT_EQ(test::cells(store.snapshot_flat(ContainerRef::column("t", "temp"))),
+            (std::vector<test::Cell>{{"x1_s05", "temp", 1.0}, {"x2_s05", "temp", 3.0}}));
 }
 
 TEST(ContainerRef, RowPrefixScoped) {
-  const ContainerRef ref("t", "", "x1_");
-  EXPECT_TRUE(ref.matches("t", "x1_s05", "c"));
-  EXPECT_FALSE(ref.matches("t", "x2_s05", "c"));
+  DataStore store;
+  fill_scoped(store);
+  EXPECT_EQ(test::cells(store.snapshot_flat(ContainerRef("t", "", "x1_"))),
+            (std::vector<test::Cell>{{"x1_s05", "temp", 1.0}, {"x1_s05", "wind", 2.0}}));
 }
 
 TEST(ContainerRef, IdIsStable) {
@@ -138,49 +151,15 @@ TEST(DataStore, PutGetAcrossTables) {
   EXPECT_FALSE(store.get("t3", "r", "c").has_value());
 }
 
-TEST(DataStore, ObserverSeesPutWithOldValue) {
+TEST(DataStore, PutKeepsOldValueAsPrevious) {
   DataStore store;
-  std::vector<Mutation> seen;
-  store.subscribe([&](const Mutation& m) { seen.push_back(m); });
   store.put("t", "r", "c", 1, 5.0);
+  EXPECT_FALSE(store.get_previous("t", "r", "c").has_value());
   store.put("t", "r", "c", 2, 7.0);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].kind, MutationKind::kPut);
-  EXPECT_FALSE(seen[0].had_old_value);
-  EXPECT_EQ(seen[0].new_value, 5.0);
-  EXPECT_TRUE(seen[1].had_old_value);
-  EXPECT_EQ(seen[1].old_value, 5.0);
-  EXPECT_EQ(seen[1].new_value, 7.0);
-  EXPECT_EQ(seen[1].timestamp, 2u);
-}
-
-TEST(DataStore, ObserverSeesDelete) {
-  DataStore store;
-  std::vector<Mutation> seen;
-  store.subscribe([&](const Mutation& m) { seen.push_back(m); });
-  store.put("t", "r", "c", 1, 5.0);
-  store.erase("t", "r", "c", 2);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[1].kind, MutationKind::kDelete);
-  EXPECT_EQ(seen[1].old_value, 5.0);
-}
-
-TEST(DataStore, EraseMissingCellDoesNotNotify) {
-  DataStore store;
-  int count = 0;
-  store.subscribe([&](const Mutation&) { ++count; });
-  store.erase("t", "r", "c", 1);
-  EXPECT_EQ(count, 0);
-}
-
-TEST(DataStore, UnsubscribeStopsNotifications) {
-  DataStore store;
-  int count = 0;
-  const auto token = store.subscribe([&](const Mutation&) { ++count; });
-  store.put("t", "r", "c", 1, 1.0);
-  store.unsubscribe(token);
-  store.put("t", "r", "c", 2, 2.0);
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(store.get("t", "r", "c"), 7.0);
+  EXPECT_EQ(store.get_previous("t", "r", "c"), 5.0);
+  EXPECT_EQ(store.get_at("t", "r", "c", 1), 5.0);
+  EXPECT_EQ(store.get_at("t", "r", "c", 2), 7.0);
 }
 
 TEST(DataStore, SnapshotKeyedByRowAndColumn) {
@@ -231,13 +210,13 @@ TEST(DataStore, ConcurrentPutsAreAllApplied) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        store.put("t" + std::to_string(t), "r" + std::to_string(i), "c", 1, 1.0);
+        store.put(test::key("t", t), test::key("r", i), "c", 1, 1.0);
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(store.cell_count("t" + std::to_string(t)), static_cast<std::size_t>(kPerThread));
+    EXPECT_EQ(store.cell_count(test::key("t", t)), static_cast<std::size_t>(kPerThread));
   }
 }
 
@@ -246,11 +225,9 @@ TEST(Client, WritesStampedWithWave) {
   Client client(store, 7);
   client.put("t", "r", "c", 1.5);
   EXPECT_EQ(store.get("t", "r", "c"), 1.5);
-  std::vector<Mutation> seen;
-  store.subscribe([&](const Mutation& m) { seen.push_back(m); });
-  client.put("t", "r", "c2", 2.5);
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].timestamp, 7u);
+  // Stamped with wave 7: invisible as of wave 6, visible as of wave 7.
+  EXPECT_FALSE(store.get_at("t", "r", "c", 6).has_value());
+  EXPECT_EQ(store.get_at("t", "r", "c", 7), 1.5);
 }
 
 TEST(Client, PutColumnBulk) {

@@ -20,7 +20,6 @@
 #include "datastore/wal.h"
 #include "wms/engine.h"
 #include "wms/journal.h"
-#include "wms/scheduler.h"
 
 namespace smartflux::ds {
 namespace {

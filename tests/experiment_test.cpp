@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/hashing.h"
 #include "core/experiment.h"
+#include "keys.h"
 
 namespace smartflux::core {
 namespace {
@@ -21,7 +22,7 @@ wms::WorkflowSpec smooth_spec(double bound) {
       const double v = 50.0 + 10.0 * std::sin(0.3 * static_cast<double>(ctx.wave) +
                                               static_cast<double>(i)) +
                        4.0 * smartflux::smooth_noise(5, i, ctx.wave, 5);
-      ctx.client.put("in", "r" + std::to_string(i), "v", v);
+      ctx.client.put("in", test::key("r", i), "v", v);
     }
   };
   wms::StepSpec agg;

@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "core/experiment.h"
+#include "keys.h"
 #include "wms/engine.h"
 #include "workloads/cybershake/cybershake.h"
 #include "workloads/pagerank/pagerank.h"
@@ -66,7 +67,7 @@ TEST(PageRank, WorkflowMatchesReferenceRanks) {
 
   const auto reference = wl.reference_ranks(1);
   for (std::size_t page = 0; page < 60; page += 7) {
-    const auto stored = store.get("rank", "p" + std::to_string(page), "score");
+    const auto stored = store.get("rank", test::key("p", page), "score");
     ASSERT_TRUE(stored.has_value());
     EXPECT_NEAR(*stored, 1000.0 * 60.0 * reference[page], 1e-6);
   }

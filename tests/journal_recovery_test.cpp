@@ -7,7 +7,6 @@
 #include "common/fault_injection.h"
 #include "wms/engine.h"
 #include "wms/journal.h"
-#include "wms/scheduler.h"
 
 namespace smartflux::wms {
 namespace {
@@ -245,7 +244,7 @@ TEST(CrashRecovery, RestoreValidatesEngineAndJournal) {
   }
 }
 
-TEST(CrashRecovery, WaveDriverContinuesAfterRestore) {
+TEST(CrashRecovery, NextWaveContinuesAfterRestore) {
   WaveJournal journal;
   journal.bind("recover", {"src", "flaky", "sink"});
   for (ds::Timestamp wave = 1; wave <= 5; ++wave) {
@@ -258,17 +257,13 @@ TEST(CrashRecovery, WaveDriverContinuesAfterRestore) {
   engine.restore_from_journal(journal);
   SyncController sync;
 
-  // Even though the driver is configured from wave 1, it detects the restored
-  // history and allocates the next wave after the journal.
-  WaveDriver driver(engine, sync, std::make_unique<PeriodicWaveSource>(10), /*first_wave=*/1);
-  EXPECT_EQ(driver.next_wave(), 6u);
-
-  SimulatedClock clock;
-  clock.advance(10);
-  const auto results = driver.poll(clock);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].wave, 6u);
-  EXPECT_EQ(driver.next_wave(), 7u);
+  // The restored history tells a caller where to resume: the next wave runs
+  // right after the journal's last one.
+  ASSERT_EQ(engine.last_wave(), std::optional<ds::Timestamp>{5});
+  const WaveResult result = engine.run_wave(*engine.last_wave() + 1, sync);
+  EXPECT_EQ(result.wave, 6u);
+  EXPECT_EQ(result.executed_count(), 3u);
+  EXPECT_EQ(engine.last_wave(), std::optional<ds::Timestamp>{6});
 }
 
 }  // namespace

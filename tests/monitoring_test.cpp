@@ -4,6 +4,7 @@
 
 #include "core/monitoring.h"
 #include "datastore/datastore.h"
+#include "keys.h"
 #include "snapshot_util.h"
 
 namespace smartflux::core {
@@ -127,7 +128,7 @@ TEST(ContainerTracker, FlatSeriesMatchesMapBasedSeries) {
     for (ds::Timestamp wave = 1; wave <= 8; ++wave) {
       for (int i = 0; i < 12; ++i) {
         if ((static_cast<int>(wave) + i) % 3 == 0) continue;  // some cells idle
-        store.put("t", "r" + std::to_string(i), "c", wave,
+        store.put("t", test::key("r", i), "c", wave,
                   static_cast<double>(wave * 7 + i) * 0.25);
       }
       if (wave == 4) store.erase("t", "r5", "c", wave);

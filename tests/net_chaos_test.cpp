@@ -19,6 +19,7 @@
 #include "common/fault_injection.h"
 #include "datastore/client.h"
 #include "datastore/datastore.h"
+#include "keys.h"
 #include "net/bridge.h"
 #include "net/gateway.h"
 #include "net/http.h"
@@ -590,7 +591,7 @@ TEST(NetChaosClient_, ChaosIngestConservesRows) {
     swarm.emplace_back([&, c] {
       ChaosClient client(stack.server->port(), &schedule, /*stream=*/c);
       for (std::size_t r = 0; r < kRequests; ++r) {
-        const std::string row = "w" + std::to_string(c) + "_" + std::to_string(r);
+        const std::string row = test::key("w", c) + "_" + std::to_string(r);
         const std::string body = row + ",o3," + std::to_string(c * 100 + r) + ".5\n";
         if (client.post_ingest("sensors", row, body) != 202) {
           failures.fetch_add(1, std::memory_order_relaxed);
@@ -615,7 +616,7 @@ TEST(NetChaosClient_, ChaosIngestConservesRows) {
   EXPECT_EQ(stack.store.cell_count("sensors"), kClients * kRequests);
   for (std::size_t c = 0; c < kClients; ++c) {
     for (std::size_t r = 0; r < kRequests; ++r) {
-      const std::string row = "w" + std::to_string(c) + "_" + std::to_string(r);
+      const std::string row = test::key("w", c) + "_" + std::to_string(r);
       const auto versions = stack.store.cell_versions("sensors", row, "o3");
       ASSERT_EQ(versions.size(), 1u) << row;
       EXPECT_EQ(versions.front().value, static_cast<double>(c * 100 + r) + 0.5) << row;

@@ -17,6 +17,7 @@
 #include "datastore/client.h"
 #include "datastore/datastore.h"
 #include "datastore/flat_snapshot.h"
+#include "keys.h"
 #include "net/bridge.h"
 #include "net/gateway.h"
 #include "net/server.h"
@@ -207,7 +208,7 @@ TEST_F(NetServerMultiLoop, ServesConcurrentClientsAcrossLoops) {
       Client client = connect();
       for (int i = 0; i < kRequests; ++i) {
         // Spread tables across stripe domains; every loop thread stages.
-        const std::string table = "t" + std::to_string((t * kRequests + i) % 5);
+        const std::string table = test::key("t", (t * kRequests + i) % 5);
         const ClientResponse r =
             client.request("POST", "/ingest/" + table, "row,col," + std::to_string(i) + "\n");
         if (r.status == 202) accepted.fetch_add(1);

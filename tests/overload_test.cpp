@@ -13,10 +13,10 @@
 #include "core/smartflux.h"
 #include "datastore/client.h"
 #include "datastore/datastore.h"
+#include "keys.h"
 #include "wms/backpressure.h"
 #include "wms/engine.h"
 #include "wms/journal.h"
-#include "wms/scheduler.h"
 
 namespace smartflux::wms {
 namespace {
@@ -264,53 +264,6 @@ TEST(ShedWave, JournaledAsAllSkippedAndRestorable) {
 }
 
 // ---------------------------------------------------------------------------
-// WaveDriver deadline-aware catch-up
-// ---------------------------------------------------------------------------
-
-TEST(WaveDriverCatchup, OldestExcessDueWavesAreShedNotReplayed) {
-  ds::DataStore store;
-  WorkflowEngine engine(copy_spec(), store);
-  SyncController sync;
-  WaveDriver driver(engine, sync, std::make_unique<PeriodicWaveSource>(10, 32), 1);
-  driver.set_catchup(CatchupPolicy{.budget = 3});
-
-  SimulatedClock clock;
-  clock.advance(100);  // fall far behind: many waves due at once
-  const auto results = driver.poll(clock);
-
-  ASSERT_GT(results.size(), 3u);
-  EXPECT_EQ(driver.waves_run(), 3u);
-  EXPECT_EQ(driver.waves_shed(), results.size() - 3);
-  EXPECT_EQ(engine.waves_shed(), driver.waves_shed());
-  // The *oldest* waves are the shed ones; the newest three actually ran.
-  for (std::size_t k = 0; k < results.size(); ++k) {
-    EXPECT_EQ(results[k].wave, k + 1);
-    if (k + 3 < results.size()) {
-      EXPECT_EQ(results[k].executed_count(), 0u);
-    } else {
-      EXPECT_TRUE(results[k].executed[0]);
-    }
-  }
-
-  // Caught up: the next poll at the same time has nothing due.
-  EXPECT_TRUE(driver.poll(clock).empty());
-}
-
-TEST(WaveDriverCatchup, ZeroBudgetDisablesShedding) {
-  ds::DataStore store;
-  WorkflowEngine engine(copy_spec(), store);
-  SyncController sync;
-  WaveDriver driver(engine, sync, std::make_unique<PeriodicWaveSource>(10, 32), 1);
-
-  SimulatedClock clock;
-  clock.advance(60);
-  const auto results = driver.poll(clock);
-  ASSERT_FALSE(results.empty());
-  EXPECT_EQ(driver.waves_shed(), 0u);
-  for (const WaveResult& result : results) EXPECT_TRUE(result.executed[0]);
-}
-
-// ---------------------------------------------------------------------------
 // Crash matrix entry: killed mid-shed
 // ---------------------------------------------------------------------------
 
@@ -530,7 +483,7 @@ TEST(MemoryCeiling, PressureTrimsSupersededVersionsAndAccounts) {
   DataStore store(4);
   for (Timestamp wave = 1; wave <= 3; ++wave) {
     for (int r = 0; r < 8; ++r) {
-      store.put("t", "r" + std::to_string(r), "c", wave, static_cast<double>(wave * 10 + r));
+      store.put("t", test::key("r", r), "c", wave, static_cast<double>(wave * 10 + r));
     }
     store.commit_wave(wave);
   }
@@ -540,7 +493,7 @@ TEST(MemoryCeiling, PressureTrimsSupersededVersionsAndAccounts) {
   store.set_memory_options(MemoryOptions{
       .soft_limit_bytes = 1, .trim_keep_versions = 1, .checkpoint_on_pressure = false});
   for (int r = 0; r < 8; ++r) {
-    store.put("t", "r" + std::to_string(r), "c", 4, static_cast<double>(40 + r));
+    store.put("t", test::key("r", r), "c", 4, static_cast<double>(40 + r));
   }
   store.commit_wave(4);
 

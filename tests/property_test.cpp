@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <string>
+
 #include "common/hashing.h"
 #include "common/rng.h"
 #include "core/experiment.h"
-#include "core/metric_dsl.h"
+#include "keys.h"
 #include "workloads/aqhi/aqhi.h"
 
 namespace smartflux {
@@ -134,9 +138,39 @@ TEST_P(ExperimentInvariants, PredictedErrorNonNegativeAndResets) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExperimentInvariants, ::testing::Values(1, 2, 3));
 
-TEST(DslMonitorIntegration, DslEq1BehavesLikeBuiltIn) {
-  // A StepMonitor configured with the DSL form of Eq. 1 must produce the
-  // same impacts as the built-in metric over an arbitrary update stream.
+/// Eq. 1 written the way a user writes a custom metric (§4.2): the
+/// update/compute API, with no help from the built-in classes.
+class HandWrittenEq1 final : public core::ChangeMetric {
+ public:
+  void reset() noexcept override {
+    sum_abs_diff_ = 0.0;
+    modified_ = 0;
+  }
+  void update(double current, double previous) noexcept override {
+    sum_abs_diff_ += std::abs(current - previous);
+    ++modified_;
+  }
+  double compute(std::size_t, double) const noexcept override {
+    return sum_abs_diff_ * static_cast<double>(modified_);
+  }
+  std::unique_ptr<ChangeMetric> clone() const override {
+    return std::make_unique<HandWrittenEq1>(*this);
+  }
+  std::string name() const override { return "HandWrittenEq1"; }
+
+ private:
+  double sum_abs_diff_ = 0.0;
+  std::size_t modified_ = 0;
+};
+
+std::unique_ptr<core::ChangeMetric> make_hand_written_eq1() {
+  return std::make_unique<HandWrittenEq1>();
+}
+
+TEST(CustomMetricIntegration, CustomEq1BehavesLikeBuiltIn) {
+  // A StepMonitor configured with a user-written Eq. 1 must produce the same
+  // impacts as the built-in MagnitudeCountImpact over an arbitrary update
+  // stream.
   wms::StepSpec step;
   step.id = "s";
   step.fn = [](wms::StepContext&) {};
@@ -145,25 +179,25 @@ TEST(DslMonitorIntegration, DslEq1BehavesLikeBuiltIn) {
   step.max_error = 0.1;
 
   core::StepMonitor::Options builtin_opts;  // Eq. 1 default
-  core::StepMonitor::Options dsl_opts;
-  dsl_opts.custom_impact = core::compile_metric("sum_abs_diff * m");
+  core::StepMonitor::Options custom_opts;
+  custom_opts.custom_impact = make_hand_written_eq1;
 
   ds::DataStore store;
   core::StepMonitor builtin(step, builtin_opts);
-  core::StepMonitor dsl(step, dsl_opts);
+  core::StepMonitor custom(step, custom_opts);
 
   Rng rng(5);
   ds::Timestamp ts = 0;
   for (int wave = 0; wave < 20; ++wave) {
     for (int k = 0; k < 5; ++k) {
-      store.put("in", "r" + std::to_string(rng.uniform_index(8)), "c", ++ts,
+      store.put("in", test::key("r", rng.uniform_index(8)), "c", ++ts,
                 rng.uniform(0, 50));
     }
-    ASSERT_NEAR(builtin.observe_inputs(store), dsl.observe_inputs(store), 1e-9);
+    ASSERT_NEAR(builtin.observe_inputs(store), custom.observe_inputs(store), 1e-9);
   }
 }
 
-TEST(DslMonitorIntegration, ExperimentRunsWithDslMetrics) {
+TEST(CustomMetricIntegration, ExperimentRunsWithCustomMetrics) {
   workloads::AqhiParams params;
   params.grid = 6;
   params.zone = 2;
@@ -172,9 +206,10 @@ TEST(DslMonitorIntegration, ExperimentRunsWithDslMetrics) {
   core::ExperimentOptions opts;
   opts.training_waves = 50;
   opts.eval_waves = 50;
-  opts.smartflux.monitor.custom_impact = core::compile_metric("sum_abs_diff * m");
-  opts.smartflux.monitor.custom_error =
-      core::compile_metric("clamp01((sum_abs_diff * m) / (sum_prev * n))");
+  opts.smartflux.monitor.custom_impact = make_hand_written_eq1;
+  opts.smartflux.monitor.custom_error = [] {
+    return core::make_error_metric(core::ErrorKind::kRelative);
+  };
   core::Experiment ex(workload.make_workflow(), opts);
   const auto res = ex.run_smartflux();
   EXPECT_EQ(res.waves.size(), 50u);
