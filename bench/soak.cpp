@@ -1,8 +1,8 @@
 // Overload-resilience soak: the AQHI workload driven for hours of simulated
 // waves under a deterministic chaos campaign — burst arrivals, late/missing
 // sensors, hot-key skew, a flash event, one wedged step and one disk crash —
-// on a durable (WAL + checkpoint) store with the soft memory ceiling, the
-// SmartFlux overload health machine and the stall watchdog all armed.
+// on a durable (WAL + checkpoint) store with the soft memory ceiling and the
+// stall watchdog armed.
 //
 //   ./bench/soak [app_waves] [train_waves] [grid] [seed] > docs/bench/soak.json
 //   ./bench/soak net [requests_per_client] [clients] [seed]   (network leg)
@@ -11,19 +11,19 @@
 // push ~2M cells through ingest. The bench exits non-zero when any resilience
 // bound is violated:
 //   - tracked memory exceeded the soft ceiling by more than 5%
-//   - a wave is missing from the journal (shed waves must be journaled, so
-//     "dropped accountably" is checkable: every wave appears exactly once)
+//   - a wave is missing from the journal (every wave appears exactly once)
 //   - the injected wedged step did not stall the watchdog, or stalled it
 //     without a subsequent recovery
 //   - the injected WAL crash did not recover
 //
-// Phases: (1) pressured pipelined training — chaos ingest through the
-// bounded wave queue (kBlock watermarks) while the knowledge base captures;
-// (2) model build; (3) application soak under a simulated arrival backlog
-// that drives the health machine through pressured/shedding episodes every
-// burst; mid-soak a WAL crash is injected during ingest, the store is
+// Phases: (1) training — per wave, chaos ingest then a synchronous wave while
+// the knowledge base captures; a training wave wedges one step, so the
+// watchdog check never depends on what SmartFlux later decides to run;
+// (2) model build; (3) adaptive application soak through bursts and a flash
+// event; mid-soak a WAL crash is injected during ingest, the store is
 // abandoned, recovered from disk, and the run resumes at the wave-boundary
-// consistency cut.
+// consistency cut. Every wave runs serially after its own ingest, so all
+// non-timing output is a function of the arguments alone.
 
 #include <algorithm>
 #include <atomic>
@@ -426,10 +426,10 @@ int main(int argc, char** argv) {
 
   const ds::Timestamp app_first = cfg.train_waves + 1;
   const ds::Timestamp app_last = cfg.train_waves + cfg.app_waves;
-  // The wedged step fires late in a burst period (backlog drained by then,
-  // so the wave runs fully); the crash fires mid-soak.
-  ds::Timestamp hang_wave = app_first + 20;
-  while (hang_wave % 20 != 18) ++hang_wave;
+  // The wedged step fires on a training wave, where every step runs, late
+  // enough that the watchdog has learned the step's normal duration; the
+  // crash fires mid-soak.
+  const ds::Timestamp hang_wave = std::max<ds::Timestamp>(1, cfg.train_waves * 3 / 4);
   const ds::Timestamp crash_trigger = cfg.train_waves + cfg.app_waves / 2;
 
   workloads::AqhiParams params;
@@ -475,7 +475,7 @@ int main(int argc, char** argv) {
   ds::DurabilityOptions dur;
   dur.flush = ds::WalFlushPolicy::kEveryWave;
   dur.fault_injector = &campaign.faults();
-  constexpr std::size_t kMaxVersions = 4;  // >= pipelined high watermark
+  constexpr std::size_t kMaxVersions = 4;  // history until the ceiling trims it
   const ds::ShardOptions shards{.shards = 2};
 
   wms::WorkflowEngine::Options eng_opts;
@@ -494,16 +494,16 @@ int main(int argc, char** argv) {
   engine->attach_journal(&journal);
   journal.open_sink(journal_path);
 
-  // Phase 1: pressured pipelined training — chaos ingest flows through the
-  // bounded wave queue while the training controller captures the KB.
+  // Phase 1: training — each wave's chaos ingest lands before the wave runs,
+  // as in the application phase, so the captured KB never depends on how far
+  // ingest got ahead of the trackers' latest-version reads.
   core::TrainingController trainer(spec, *store, {});
-  wms::PressureOptions pressure;
-  pressure.high_watermark = 4;
-  pressure.low_watermark = 2;
-  pressure.overflow = wms::OverflowPolicy::kBlock;
-  wms::PressureStats pstats;
   const auto t_train = Clock::now();
-  engine->run_waves_pipelined(1, cfg.train_waves, trainer, chaos_ingest, pressure, &pstats);
+  for (ds::Timestamp wave = 1; wave <= cfg.train_waves; ++wave) {
+    ds::Client ingest_client(*store, wave);
+    chaos_ingest(ingest_client, wave);
+    engine->run_wave(wave, trainer);
+  }
   const double train_ms = ms_since(t_train);
 
   // The ceiling is set just under the post-training footprint: the bounded
@@ -517,11 +517,6 @@ int main(int argc, char** argv) {
 
   core::SmartFluxOptions sf_opts;
   sf_opts.audit.audit_every = 12;
-  sf_opts.overload.pressured_backlog = 3;
-  sf_opts.overload.shedding_backlog = 6;
-  sf_opts.overload.halted_backlog = 0;  // tests cover halt; the soak must finish
-  sf_opts.overload.catchup_budget = 4;
-  sf_opts.overload.consider_store_pressure = false;  // backlog-driven here
   auto sf = std::make_unique<core::SmartFluxEngine>(*engine, sf_opts);
   sf->restore_knowledge_base(trainer.take_knowledge_base());
   sf->build_model();
@@ -529,8 +524,6 @@ int main(int argc, char** argv) {
 
   // Phase 3: application soak.
   std::vector<double> lat_normal_ms, lat_burst_ms, checkpoint_ms;
-  core::SmartFluxEngine::OverloadStats shed_agg;  // accumulated across the crash
-  std::size_t backlog = 0;
   bool crash_armed = false, crashed = false;
   double recovery_seconds = -1.0;
   ds::Timestamp crash_wave = 0, resume_wave = 0;
@@ -545,14 +538,10 @@ int main(int argc, char** argv) {
       crash_armed = true;
     }
     const bool burst = campaign.scenario().burst_wave(wave);
-    if (burst) backlog += 3;  // arrivals outpace compute during a burst
-
-    const std::size_t shed_before = sf->overload_stats().waves_shed;
     const auto t0 = Clock::now();
     try {
       ds::Client ingest_client(*store, wave);
       chaos_ingest(ingest_client, wave);
-      sf->report_backlog(backlog);
       sf->run_wave(wave);
     } catch (const InjectedFault&) {
       // The injected power cut: abandon the wedged store mid-wave and
@@ -560,11 +549,6 @@ int main(int argc, char** argv) {
       crashed = true;
       crash_wave = wave;
       campaign.faults().clear_rules();
-      const auto& pre = sf->overload_stats();
-      shed_agg.waves_shed += pre.waves_shed;
-      shed_agg.monitor_only_waves += pre.monitor_only_waves;
-      shed_agg.transitions += pre.transitions;
-      shed_agg.forced_full_waves += pre.forced_full_waves;
       sf.reset();
       engine.reset();
       store.reset();
@@ -585,14 +569,9 @@ int main(int argc, char** argv) {
       recovery_seconds = std::chrono::duration<double>(Clock::now() - t_rec).count();
       resume_wave = durable + 1;
       wave = durable;  // loop increment re-runs durable+1 onward
-      backlog = 0;
       continue;
     }
     (burst ? lat_burst_ms : lat_normal_ms).push_back(ms_since(t0));
-
-    const bool shed = sf->overload_stats().waves_shed > shed_before;
-    const std::size_t drained = shed ? 3 : 1;  // shedding exists to catch up
-    backlog = backlog > drained ? backlog - drained : 0;
 
     if (wave % cfg.checkpoint_every == 0) {
       const auto t_cp = Clock::now();
@@ -600,12 +579,6 @@ int main(int argc, char** argv) {
       checkpoint_ms.push_back(ms_since(t_cp));
     }
   }
-
-  const auto& post = sf->overload_stats();
-  shed_agg.waves_shed += post.waves_shed;
-  shed_agg.monitor_only_waves += post.monitor_only_waves;
-  shed_agg.transitions += post.transitions;
-  shed_agg.forced_full_waves += post.forced_full_waves;
 
   // Accountability check: every wave 1..app_last journaled exactly once.
   std::size_t lost_waves = 0;
@@ -623,8 +596,6 @@ int main(int argc, char** argv) {
   const double ceiling = static_cast<double>(mem.soft_limit_bytes);
   const double peak_ratio = ceiling > 0 ? static_cast<double>(mstats.peak_tracked_bytes) / ceiling
                                         : 0.0;
-  const double shed_rate =
-      static_cast<double>(shed_agg.waves_shed) / static_cast<double>(cfg.app_waves);
 
   const bool ceiling_ok = peak_ratio <= 1.05;
   const bool waves_ok = lost_waves == 0;
@@ -643,13 +614,7 @@ int main(int argc, char** argv) {
               sstats.cells_in, sstats.cells_emitted, sstats.cells_dropped,
               sstats.cells_deferred, sstats.cells_replayed, sstats.burst_cells,
               sstats.hot_key_redirects, sstats.flash_cells);
-  std::printf("  \"training\": {\"ms\": %.1f, \"producer_blocks\": %zu, \"peak_depth\": %zu},\n",
-              train_ms, pstats.producer_blocks, pstats.peak_depth);
-  std::printf("  \"overload\": {\"waves_shed\": %zu, \"monitor_only_waves\": %zu, "
-              "\"forced_full_waves\": %zu, \"health_transitions\": %zu, "
-              "\"shed_rate\": %.4f},\n",
-              shed_agg.waves_shed, shed_agg.monitor_only_waves, shed_agg.forced_full_waves,
-              shed_agg.transitions, shed_rate);
+  std::printf("  \"training\": {\"ms\": %.1f},\n", train_ms);
   std::printf("  \"latency_ms\": {\"normal_p50\": %.2f, \"normal_p99\": %.2f, "
               "\"burst_p50\": %.2f, \"burst_p99\": %.2f, \"checkpoint_p99\": %.2f},\n",
               pctl(lat_normal_ms, 0.50), pctl(lat_normal_ms, 0.99), pctl(lat_burst_ms, 0.50),

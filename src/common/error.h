@@ -33,14 +33,6 @@ class StateError : public Error {
   explicit StateError(const std::string& what) : Error(what) {}
 };
 
-/// Raised when the engine refuses new work because its overload state
-/// machine reached `halted` — the caller must drain backlog (or widen the
-/// overload thresholds) before submitting more waves.
-class Overloaded : public Error {
- public:
-  explicit Overloaded(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 [[noreturn]] void throw_check_failure(std::string_view cond, std::string_view file, int line,
                                       std::string_view msg);

@@ -21,16 +21,6 @@ const char* phase_name(SmartFluxEngine::Phase phase) noexcept {
   return "unknown";
 }
 
-const char* health_name(SmartFluxEngine::Health health) noexcept {
-  switch (health) {
-    case SmartFluxEngine::Health::kHealthy: return "healthy";
-    case SmartFluxEngine::Health::kPressured: return "pressured";
-    case SmartFluxEngine::Health::kShedding: return "shedding";
-    case SmartFluxEngine::Health::kHalted: return "halted";
-  }
-  return "unknown";
-}
-
 /// Handles resolved once at construction. Decision counters are fed by
 /// deltas of the QoD controller's cumulative counts (the controller is
 /// replaced on every model rebuild, so the engine tracks the last-seen
@@ -44,11 +34,6 @@ struct SmartFluxEngine::SfObs {
   obs::Gauge* false_negative_rate = nullptr;
   obs::Gauge* phase_gauge = nullptr;
   obs::Counter* transitions[5] = {};
-  obs::Gauge* health_gauge = nullptr;
-  obs::Gauge* backlog_gauge = nullptr;
-  obs::Counter* health_transitions[4] = {};
-  obs::Counter* overload_shed = nullptr;
-  obs::Counter* monitor_only = nullptr;
   std::size_t last_skipped = 0;
   std::size_t last_triggered = 0;
 
@@ -73,21 +58,6 @@ struct SmartFluxEngine::SfObs {
                                     {{"phase", phase_name(static_cast<Phase>(p))}},
                                     "Phase entries by target phase");
     }
-    health_gauge = &reg.gauge("sf_smartflux_health", {},
-                              "Overload health: 0=healthy 1=pressured 2=shedding 3=halted");
-    backlog_gauge = &reg.gauge("sf_smartflux_backlog_waves", {},
-                               "Last reported arrival backlog (waves due but not yet run)");
-    for (int h = 0; h < 4; ++h) {
-      health_transitions[h] =
-          &reg.counter("sf_smartflux_health_transitions_total",
-                       {{"health", health_name(static_cast<Health>(h))}},
-                       "Overload health entries by target state");
-    }
-    overload_shed = &reg.counter("sf_smartflux_waves_shed_total", {},
-                                 "Whole waves shed by the overload machine");
-    monitor_only = &reg.counter("sf_smartflux_monitor_only_waves_total", {},
-                                "Pressured waves run monitor-only (classifier queried, "
-                                "every step skipped)");
   }
 };
 
@@ -122,34 +92,6 @@ class AuditController final : public wms::TriggerController {
  private:
   QodController* qod_;
   std::vector<int>* predicted_;
-};
-
-/// Pressured-mode controller: consults the QoD classifier for every queried
-/// step — keeping its impact accumulators and decision counts tracking the
-/// deferred error — but skips everything. The wave is journaled normally with
-/// all-skipped statuses, so nothing is lost; the accumulated impact makes the
-/// classifier trigger the right steps once pressure clears.
-class MonitorOnlyController final : public wms::TriggerController {
- public:
-  explicit MonitorOnlyController(QodController& qod) : qod_(&qod) {}
-
-  void begin_wave(ds::Timestamp wave) override { qod_->begin_wave(wave); }
-
-  bool should_execute(const wms::WorkflowSpec& spec, std::size_t step_index,
-                      ds::Timestamp wave) override {
-    qod_->should_execute(spec, step_index, wave);
-    return false;  // monitor-only: observe, never execute
-  }
-
-  void on_step_executed(const wms::WorkflowSpec& spec, std::size_t step_index,
-                        ds::Timestamp wave) override {
-    qod_->on_step_executed(spec, step_index, wave);
-  }
-
-  void end_wave(ds::Timestamp wave) override { qod_->end_wave(wave); }
-
- private:
-  QodController* qod_;
 };
 
 }  // namespace
@@ -269,9 +211,6 @@ std::vector<wms::WaveResult> SmartFluxEngine::run(ds::Timestamp first_wave, std:
 
 wms::WaveResult SmartFluxEngine::run_wave(ds::Timestamp wave) {
   if (!qod_) throw StateError("model not built — call build_model() after training");
-  if (options_.overload.enabled()) {
-    if (auto reduced = overload_gate(wave)) return std::move(*reduced);
-  }
   if (phase_ == Phase::kDegraded) return run_degraded_wave(wave);
   set_phase(Phase::kApplication);
   if (options_.audit.enabled() && ++waves_since_audit_ >= options_.audit.audit_every) {
@@ -280,80 +219,6 @@ wms::WaveResult SmartFluxEngine::run_wave(ds::Timestamp wave) {
   wms::WaveResult result = engine_->run_wave(wave, *qod_);
   record_decision_deltas();
   if (options_.audit.enabled()) reset_executed_outputs(result);
-  return result;
-}
-
-void SmartFluxEngine::report_backlog(std::size_t waves_behind) noexcept {
-  backlog_ = waves_behind;
-  if (obs_) obs_->backlog_gauge->set(static_cast<double>(waves_behind));
-}
-
-SmartFluxEngine::Health SmartFluxEngine::target_health() const {
-  const OverloadOptions& o = options_.overload;
-  Health target = Health::kHealthy;
-  if (o.halted_backlog > 0 && backlog_ >= o.halted_backlog) {
-    target = Health::kHalted;
-  } else if (o.shedding_backlog > 0 && backlog_ >= o.shedding_backlog) {
-    target = Health::kShedding;
-  } else if (backlog_ >= o.pressured_backlog) {
-    target = Health::kPressured;
-  }
-  if (o.consider_store_pressure && target == Health::kHealthy &&
-      engine_->store().memory_pressure()) {
-    target = Health::kPressured;
-  }
-  return target;
-}
-
-void SmartFluxEngine::set_health(Health next) {
-  if (next == health_) return;
-  ++overload_stats_.transitions;
-  if (obs_) {
-    obs_->health_transitions[static_cast<int>(next)]->inc();
-    obs_->health_gauge->set(static_cast<double>(next));
-  }
-  SF_LOG_INFO("smartflux") << "overload health: " << health_name(health_) << " -> "
-                           << health_name(next) << " (backlog " << backlog_ << " waves)";
-  health_ = next;
-}
-
-std::optional<wms::WaveResult> SmartFluxEngine::overload_gate(ds::Timestamp wave) {
-  const Health target = target_health();
-  const Health current = health_.load(std::memory_order_relaxed);
-  if (static_cast<int>(target) > static_cast<int>(current)) {
-    set_health(target);  // escalate immediately
-  } else if (static_cast<int>(target) < static_cast<int>(current)) {
-    // De-escalate one level per wave: hysteresis against backlog flapping.
-    set_health(static_cast<Health>(static_cast<int>(current) - 1));
-  }
-  if (health_ == Health::kHalted) {
-    throw Overloaded("smartflux halted: backlog of " + std::to_string(backlog_) +
-                     " waves exceeds halted_backlog — shed load upstream or resume later");
-  }
-  if (health_ == Health::kHealthy) {
-    consecutive_reduced_ = 0;
-    return std::nullopt;
-  }
-  if (consecutive_reduced_ >= options_.overload.catchup_budget) {
-    // Deadline-aware catch-up: tolerant state must not starve forever, so
-    // every catchup_budget reduced waves buy one full wave.
-    consecutive_reduced_ = 0;
-    ++overload_stats_.forced_full_waves;
-    return std::nullopt;
-  }
-  ++consecutive_reduced_;
-  set_phase(Phase::kApplication);
-  if (health_ == Health::kShedding) {
-    ++overload_stats_.waves_shed;
-    if (obs_) obs_->overload_shed->inc();
-    return engine_->shed_wave(wave);
-  }
-  // Pressured: monitor-only wave — classifier consulted, every step skipped.
-  ++overload_stats_.monitor_only_waves;
-  if (obs_) obs_->monitor_only->inc();
-  MonitorOnlyController monitor(*qod_);
-  wms::WaveResult result = engine_->run_wave(wave, monitor);
-  record_decision_deltas();
   return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/knowledge_base.h"
@@ -40,37 +39,6 @@ struct AuditOptions {
   bool enabled() const noexcept { return audit_every > 0; }
 };
 
-/// Overload / load-shedding policy. The engine keeps a four-state health
-/// machine (healthy → pressured → shedding → halted) driven by the arrival
-/// backlog the caller reports (`report_backlog`: waves due but not yet run)
-/// and, optionally, the datastore's memory-pressure flag. Escalation is
-/// immediate; de-escalation steps down one level per wave so a noisy backlog
-/// cannot flap the mode. Under `pressured` the engine runs *monitor-only*
-/// waves: the QoD classifier is still consulted for every tolerant step (so
-/// its impact accumulators keep tracking deferred error) but every step is
-/// skipped. Under `shedding` whole waves are shed — journaled as skipped
-/// without touching the store. A deadline-aware catch-up budget forces one
-/// full wave after every `catchup_budget` consecutive reduced waves so
-/// tolerant state can never starve indefinitely. `halted` refuses work by
-/// throwing `Overloaded`.
-struct OverloadOptions {
-  /// Backlog (due-but-unrun waves) at which health becomes pressured;
-  /// 0 disables the whole machine.
-  std::size_t pressured_backlog = 0;
-  /// Backlog at which whole waves are shed; 0 = never shed.
-  std::size_t shedding_backlog = 0;
-  /// Backlog at which the engine halts (throws Overloaded); 0 = never halt.
-  std::size_t halted_backlog = 0;
-  /// Force one full wave after this many consecutive reduced (shed or
-  /// monitor-only) waves.
-  std::size_t catchup_budget = 8;
-  /// Treat the store's soft-memory-ceiling pressure flag as at least
-  /// `pressured`, independent of the reported backlog.
-  bool consider_store_pressure = true;
-
-  bool enabled() const noexcept { return pressured_backlog > 0; }
-};
-
 /// Framework-level configuration: metric choices, classifier options and
 /// test-phase quality gates (§3.2: "if results are not satisfactory w.r.t.
 /// defined thresholds, a training phase takes place again").
@@ -82,7 +50,6 @@ struct SmartFluxOptions {
   double min_accuracy = 0.0;
   double min_recall = 0.0;
   AuditOptions audit{};
-  OverloadOptions overload{};
   /// Observability sinks (neither owned; null = disabled). Reports skip vs
   /// execute decisions, audit outcomes, the windowed false-negative rate and
   /// phase transitions under sf_smartflux_* metrics. Propagated into
@@ -108,21 +75,6 @@ struct SmartFluxOptions {
 class SmartFluxEngine {
  public:
   enum class Phase { kIdle, kTraining, kReady, kApplication, kDegraded };
-
-  /// Overload health, ordered by severity (see OverloadOptions).
-  enum class Health { kHealthy, kPressured, kShedding, kHalted };
-
-  /// Overload-machine counters.
-  struct OverloadStats {
-    /// Whole waves shed (journaled as skipped, store untouched).
-    std::size_t waves_shed = 0;
-    /// Waves run with the classifier consulted but every step skipped.
-    std::size_t monitor_only_waves = 0;
-    /// Health transitions in either direction.
-    std::size_t transitions = 0;
-    /// Full waves forced by the catch-up budget while not healthy.
-    std::size_t forced_full_waves = 0;
-  };
 
   /// Degradation-guard counters.
   struct AuditStats {
@@ -195,30 +147,12 @@ class SmartFluxEngine {
   const AuditStats& audit_stats() const noexcept { return audit_stats_; }
   bool degraded() const noexcept { return audit_stats_.retrain_waves_left > 0; }
 
-  /// Reports the arrival backlog (waves due but not yet run) feeding the
-  /// overload health machine. Call before each run_wave; the health decision
-  /// is evaluated at the next wave. No-op when overload is disabled.
-  void report_backlog(std::size_t waves_behind) noexcept;
-  /// Safe to read from any thread — the admission-control path of the
-  /// network front-end consults it per request while the engine runs.
-  Health health() const noexcept { return health_.load(std::memory_order_relaxed); }
-  const OverloadStats& overload_stats() const noexcept { return overload_stats_; }
-
  private:
   struct SfObs;  ///< pre-resolved metric handles (smartflux.cpp)
 
   wms::WaveResult run_audit_wave(ds::Timestamp wave);
   wms::WaveResult run_degraded_wave(ds::Timestamp wave);
   void enter_degraded_mode(ds::Timestamp wave);
-  /// Overload gate, run first on every wave: updates health (escalate
-  /// immediately, de-escalate one level per wave), throws Overloaded when
-  /// halted, and returns the reduced wave's result when health calls for a
-  /// shed or monitor-only wave. nullopt = run the wave normally.
-  std::optional<wms::WaveResult> overload_gate(ds::Timestamp wave);
-  /// Health the current backlog (and store pressure) calls for.
-  Health target_health() const;
-  /// Health assignment funnel: counts the transition, updates the gauge.
-  void set_health(Health next);
   /// Phase assignment funnel: counts the transition and updates the phase
   /// gauge when instrumentation is attached.
   void set_phase(Phase next);
@@ -232,8 +166,8 @@ class SmartFluxEngine {
   wms::WorkflowEngine* engine_;
   SmartFluxOptions options_;
   std::unique_ptr<SfObs> obs_;  ///< null unless options_.metrics is set
-  /// Atomic only for cross-thread *reads* (phase()/health()): all writes
-  /// stay on the engine's single driver thread via set_phase/set_health.
+  /// Atomic only for cross-thread *reads* (phase()): all writes stay on the
+  /// engine's single driver thread via set_phase.
   std::atomic<Phase> phase_{Phase::kIdle};
   std::unique_ptr<TrainingController> trainer_;
   Predictor predictor_;
@@ -245,20 +179,10 @@ class SmartFluxEngine {
   std::vector<bool> audit_window_;           ///< recent audit outcomes (true = violation)
   std::size_t waves_since_audit_ = 0;
   AuditStats audit_stats_;
-
-  // Overload-machine state (active when options_.overload.enabled()).
-  std::atomic<Health> health_{Health::kHealthy};
-  std::size_t backlog_ = 0;              ///< last reported due-but-unrun waves
-  std::size_t consecutive_reduced_ = 0;  ///< shed/monitor-only waves in a row
-  OverloadStats overload_stats_;
 };
 
 /// Lower-case phase name ("idle", "training", ...), also the `phase` metric
 /// label value.
 const char* phase_name(SmartFluxEngine::Phase phase) noexcept;
-
-/// Lower-case health name ("healthy", "pressured", ...), also the `health`
-/// metric label value.
-const char* health_name(SmartFluxEngine::Health health) noexcept;
 
 }  // namespace smartflux::core

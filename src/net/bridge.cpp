@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 
-#include "core/smartflux.h"
 #include "datastore/client.h"
 #include "datastore/container_ref.h"
 #include "datastore/datastore.h"
@@ -83,15 +82,6 @@ std::optional<IngestRefusal> IngestBridge::admission() const {
                   static_cast<int>(std::lround(t * (cap - options_.retry_after_seconds)));
       }
       return IngestRefusal{"backpressure", seconds};
-    }
-  }
-  if (options_.smartflux != nullptr) {
-    const auto health = options_.smartflux->health();
-    if (health == core::SmartFluxEngine::Health::kShedding) {
-      return IngestRefusal{"shedding", cap};
-    }
-    if (health == core::SmartFluxEngine::Health::kHalted) {
-      return IngestRefusal{"halted", cap};
     }
   }
   if (options_.max_staged_rows > 0 &&

@@ -30,10 +30,6 @@ namespace smartflux::wms {
 class BoundedWaveQueue;
 }
 
-namespace smartflux::core {
-class SmartFluxEngine;
-}
-
 namespace smartflux::net {
 
 /// One `row,col,value` ingest record, as offsets into an arena string (the
@@ -50,7 +46,7 @@ struct IngestSpan {
 
 /// Why an ingest request was refused, and what to tell the client.
 struct IngestRefusal {
-  std::string reason;           ///< "queue-closed" | "backpressure" | "shedding" | ...
+  std::string reason;           ///< "queue-closed" | "backpressure" | "staging-full"
   int retry_after_seconds = 1;  ///< value of the Retry-After header
 };
 
@@ -71,16 +67,14 @@ struct IngestRefusal {
 ///
 ///   - the wave queue the app paces waves with was closed, or is gated at
 ///     its high watermark (backpressure)      -> 503 "queue-closed"/"backpressure"
-///   - the SmartFlux health machine reports
-///     shedding or halted                     -> 503 "shedding"/"halted"
 ///   - staged-but-undrained rows exceed
 ///     Options::max_staged_rows, or their
 ///     bytes exceed Options::max_staged_bytes -> 503 "staging-full"
 ///
 /// so overload surfaces to clients as 503 + Retry-After instead of rows
 /// silently queueing toward an engine that cannot keep up. The Retry-After
-/// value is dynamic: hard states (queue closed, shedding, halted, staging
-/// full) advertise retry_after_max_seconds, while backpressure scales from
+/// value is dynamic: hard states (queue closed, staging full) advertise
+/// retry_after_max_seconds, while backpressure scales from
 /// retry_after_seconds toward the cap with queue depth above the low
 /// watermark — a shed storm backs clients off harder than a blip.
 ///
@@ -96,7 +90,7 @@ class IngestBridge {
  public:
   struct Options {
     /// Staged-row ceiling across all tables; the local bound that holds
-    /// even when no queue/health source is wired. 0 = unbounded.
+    /// even when no queue is wired. 0 = unbounded.
     std::size_t max_staged_rows = 1 << 20;
     /// Staged-byte ceiling (the whole arena of every staged request) — the
     /// row ceiling alone would let a few huge-value rows blow past the
@@ -113,12 +107,10 @@ class IngestBridge {
     std::string dedupe_table = "__sf_ingest_keys";
     /// Wave admission queue (not owned; optional): closed or gated refuses.
     const wms::BoundedWaveQueue* queue = nullptr;
-    /// Health machine (not owned; optional): shedding/halted refuses.
-    const core::SmartFluxEngine* smartflux = nullptr;
     /// Retry-After floor: what a barely-gated backpressure refusal advertises.
     int retry_after_seconds = 1;
-    /// Retry-After ceiling: hard refusals (queue closed, shedding, halted,
-    /// staging full) and fully-saturated backpressure advertise this.
+    /// Retry-After ceiling: hard refusals (queue closed, staging full) and
+    /// fully-saturated backpressure advertise this.
     int retry_after_max_seconds = 8;
     /// Optional metrics (not owned): sf_net_ingest_* counters/gauges.
     obs::MetricsRegistry* metrics = nullptr;

@@ -231,15 +231,10 @@ void install_status(Router& router, GatewayOptions options) {
   router.add("GET", "/status",
              [options](const Request&, const std::vector<std::string>&) {
                std::string body = "{";
-               if (options.smartflux != nullptr) {
-                 body += "\"health\":\"";
-                 body += core::health_name(options.smartflux->health());
-                 body += "\",\"phase\":\"";
-                 body += core::phase_name(options.smartflux->phase());
-                 body += "\"";
-               } else {
-                 body += "\"health\":\"unknown\",\"phase\":\"unknown\"";
-               }
+               body += "\"phase\":\"";
+               body += options.smartflux != nullptr ? core::phase_name(options.smartflux->phase())
+                                                    : "unknown";
+               body += '"';
                if (options.ingest != nullptr) {
                  const IngestBridge::Stats stats = options.ingest->stats();
                  body += ",\"ingest\":{\"staged_rows\":" +

@@ -37,7 +37,7 @@ struct GatewayOptions {
   IngestBridge* ingest = nullptr;
   /// GET /metrics — Prometheus text exposition of the registry.
   obs::MetricsRegistry* metrics = nullptr;
-  /// GET /status — health/phase fields (otherwise reported as "unknown").
+  /// GET /status — the phase field (otherwise reported as "unknown").
   const core::SmartFluxEngine* smartflux = nullptr;
   /// POST /workflow — XML workflow definitions (the paper's §4.2 schema)
   /// validated against this step registry (not owned). Null = route absent.
@@ -60,7 +60,7 @@ struct GatewayOptions {
 /// Builds the standard SmartFlux route table:
 ///
 ///   POST /ingest/<table>  batched cell ingest (503 + Retry-After under
-///                         backpressure/shedding — see IngestBridge)
+///                         backpressure — see IngestBridge)
 ///   GET  /get             point read as JSON
 ///   GET  /scan            container dump: text lines `row,col,value`, or
 ///                         NDJSON with ?format=ndjson; add ?stream=1 for a

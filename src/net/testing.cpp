@@ -395,7 +395,7 @@ int ChaosClient::post_ingest(const std::string& table, const std::string& key,
         return 202;
       }
       if (response.status == 503) {
-        // Overloaded: honor the spirit of Retry-After at test time scale.
+        // Refused under load: honor the spirit of Retry-After at test time scale.
         ++stats_.refusals;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
         continue;

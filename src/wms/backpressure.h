@@ -16,8 +16,8 @@ namespace smartflux::wms {
 enum class OverflowPolicy : std::uint8_t {
   /// The producer blocks until the queue drains to the low watermark.
   kBlock,
-  /// The push is refused (returns false) and counted; the caller journals
-  /// the refused wave as shed so it is dropped *accountably*, never lost.
+  /// The push is refused (returns false) and counted; the caller turns the
+  /// refusal into an answer upstream (the HTTP front door replies 503).
   kShed,
 };
 

@@ -42,7 +42,6 @@ double to_seconds(std::chrono::nanoseconds ns) noexcept {
 /// counters additionally {status}.
 struct WorkflowEngine::EngineObs {
   obs::Counter* waves = nullptr;
-  obs::Counter* waves_shed = nullptr;
   obs::Gauge* ingest_queue_depth = nullptr;
   obs::Histogram* wave_duration = nullptr;
   std::vector<std::array<obs::Counter*, kStatusCount>> status;  // [step][StepStatus]
@@ -53,8 +52,6 @@ struct WorkflowEngine::EngineObs {
   EngineObs(obs::MetricsRegistry& registry, const WorkflowSpec& spec) {
     const obs::Labels wf{{"workflow", spec.name()}};
     waves = &registry.counter("sf_wms_waves_total", wf, "Waves run by the workflow engine");
-    waves_shed = &registry.counter("sf_wms_waves_shed_total", wf,
-                                   "Waves dropped accountably under overload");
     ingest_queue_depth = &registry.gauge("sf_wms_ingest_queue_depth", wf,
                                          "Ingested-not-yet-computed waves (pressured pipeline)");
     wave_duration = &registry.histogram("sf_wms_wave_duration_seconds", obs::duration_buckets(),
@@ -593,31 +590,6 @@ std::vector<WaveResult> WorkflowEngine::run_waves(ds::Timestamp first, std::size
   return out;
 }
 
-WaveResult WorkflowEngine::shed_wave(ds::Timestamp wave) {
-  if (last_wave_ && wave <= *last_wave_) {
-    throw InvalidArgument("waves must be strictly increasing (got " + std::to_string(wave) +
-                          " after " + std::to_string(*last_wave_) + ")");
-  }
-  last_wave_ = wave;
-  ++waves_run_;
-  ++waves_shed_;
-  WaveResult result = make_result(wave, spec_.size());
-  std::fill(result.status.begin(), result.status.end(), StepStatus::kSkipped);
-  // Same wave-boundary order as run_wave: the shed wave commits to the store
-  // and is journaled as all-skipped, so recovery replays it as a completed
-  // empty wave — dropped load is accounted, never silently lost.
-  store_->commit_wave(wave);
-  if (journal_ != nullptr) journal_->append(WaveRecord{wave, result.status});
-  if (obs_ != nullptr) {
-    obs_->waves->inc_single_writer();
-    obs_->waves_shed->inc_single_writer();
-    const auto skipped = static_cast<std::size_t>(StepStatus::kSkipped);
-    for (std::size_t i = 0; i < spec_.size(); ++i) obs_->status[i][skipped]->inc_single_writer();
-  }
-  SF_LOG_INFO("wms") << "wave " << wave << " shed under overload — journaled as skipped";
-  return result;
-}
-
 std::vector<WaveResult> WorkflowEngine::run_waves_pipelined(ds::Timestamp first,
                                                             std::size_t count,
                                                             TriggerController& controller,
@@ -627,6 +599,10 @@ std::vector<WaveResult> WorkflowEngine::run_waves_pipelined(ds::Timestamp first,
   SF_CHECK(static_cast<bool>(ingest), "ingest must be callable");
   if (!pressure.enabled()) {
     throw InvalidArgument("pipelining needs high_watermark >= 1");
+  }
+  if (pressure.overflow != OverflowPolicy::kBlock) {
+    throw InvalidArgument("pipelining needs OverflowPolicy::kBlock: every admitted wave runs, "
+                          "so refuse load at admission, before the engine");
   }
   if (pressure.high_watermark > store_->max_versions()) {
     throw InvalidArgument("high_watermark " + std::to_string(pressure.high_watermark) +
@@ -640,52 +616,37 @@ std::vector<WaveResult> WorkflowEngine::run_waves_pipelined(ds::Timestamp first,
   out.reserve(count);
   if (count == 0) return out;
 
-  struct IngestDone {
-    std::exception_ptr error;
-    bool shed = false;
-  };
-
   BoundedWaveQueue queue(pressure);
   std::mutex mutex;
   std::condition_variable cv;
-  std::map<ds::Timestamp, IngestDone> done;
+  // Ingested waves not yet picked up by compute, with their ingest failure if
+  // any. Each entry is a wave pushed and not yet popped, so the queue's high
+  // watermark bounds the map too.
+  std::map<ds::Timestamp, std::exception_ptr> done;
   bool stop = false;
-  // Under kShed the producer never blocks in push(), so bound the done-map
-  // too — otherwise a stalled consumer turns "bounded queue" into an
-  // unbounded completion backlog.
-  const std::size_t done_cap = 2 * pressure.high_watermark + 2;
 
   // One ingest worker doubles as the (fast) arrival producer: it races
   // through the waves as quickly as admission allows, serialized in wave
-  // order. A refused wave is shed *before* its feed is written — true load
-  // shedding, no wasted ingest work.
+  // order.
   std::thread worker([&] {
     for (std::size_t k = 0; k < count; ++k) {
       const ds::Timestamp wave = first + static_cast<ds::Timestamp>(k);
-      {
-        std::unique_lock lock(mutex);
-        cv.wait(lock, [&] { return stop || done.size() < done_cap; });
-        if (stop) return;
-      }
-      const bool admitted = queue.push(wave);  // kBlock: waits for the drain
+      const bool admitted = queue.push(wave);  // waits for the drain
       {
         std::lock_guard lock(mutex);
-        if (stop) return;  // push was released by close(), not a real verdict
+        // kBlock refuses only once close() released the push: the run is over.
+        if (stop || !admitted) return;
       }
-      IngestDone d;
-      if (!admitted) {
-        d.shed = true;
-      } else {
-        try {
-          ds::Client client(*store_, wave);
-          ingest(client, wave);
-        } catch (...) {
-          d.error = std::current_exception();
-        }
+      std::exception_ptr error;
+      try {
+        ds::Client client(*store_, wave);
+        ingest(client, wave);
+      } catch (...) {
+        error = std::current_exception();
       }
       {
         std::lock_guard lock(mutex);
-        done.emplace(wave, std::move(d));
+        done.emplace(wave, std::move(error));
       }
       cv.notify_all();
     }
@@ -694,7 +655,6 @@ std::vector<WaveResult> WorkflowEngine::run_waves_pipelined(ds::Timestamp first,
   struct StopAndJoin {
     std::thread& worker;
     std::mutex& mutex;
-    std::condition_variable& cv;
     BoundedWaveQueue& queue;
     bool& stop;
     ~StopAndJoin() {
@@ -702,27 +662,21 @@ std::vector<WaveResult> WorkflowEngine::run_waves_pipelined(ds::Timestamp first,
         std::lock_guard lock(mutex);
         stop = true;
       }
-      queue.close();
-      cv.notify_all();
+      queue.close();  // releases a producer waiting in push()
       worker.join();
     }
-  } join_guard{worker, mutex, cv, queue, stop};
+  } join_guard{worker, mutex, queue, stop};
 
   for (std::size_t k = 0; k < count; ++k) {
     const ds::Timestamp wave = first + static_cast<ds::Timestamp>(k);
-    IngestDone d;
+    std::exception_ptr error;
     {
       std::unique_lock lock(mutex);
       cv.wait(lock, [&] { return done.count(wave) != 0; });
-      d = std::move(done.at(wave));
+      error = std::move(done.at(wave));
       done.erase(wave);
     }
-    cv.notify_all();  // wake a producer parked on the done-cap
-    if (d.error) std::rethrow_exception(d.error);
-    if (d.shed) {
-      out.push_back(shed_wave(wave));
-      continue;
-    }
+    if (error) std::rethrow_exception(error);
     out.push_back(run_wave(wave, controller));
     queue.pop();  // compute done: release the admission slot
     if (obs_ != nullptr) obs_->ingest_queue_depth->set(static_cast<double>(queue.depth()));
@@ -807,7 +761,6 @@ void WorkflowEngine::reset_history() {
   std::fill(last_exec_wave_.begin(), last_exec_wave_.end(), std::optional<ds::Timestamp>{});
   total_executions_ = 0;
   waves_run_ = 0;
-  waves_shed_ = 0;
   last_wave_.reset();
 }
 

@@ -198,13 +198,14 @@ class WorkflowEngine {
   /// Admission into the ingested-not-yet-computed window (the computing wave
   /// included) is bounded by `pressure` (high/low watermarks):
   /// PressureOptions::ahead(d) runs d waves ahead, and the default is one.
-  /// Under OverflowPolicy::kBlock the producer stalls until compute drains
-  /// the window to the low watermark; under kShed a refused wave's feed is
-  /// never written and the wave is journaled as shed via shed_wave() —
-  /// dropped accountably, never lost.
+  /// The producer stalls until compute drains the window to the low
+  /// watermark, so every wave runs; refusing load is the job of admission in
+  /// front of the engine (the HTTP front door's kShed queue), not of the
+  /// engine itself.
   ///
-  /// Requires pressure.enabled() and store.max_versions() >=
-  /// pressure.high_watermark (throws InvalidArgument otherwise). An ingest
+  /// Requires pressure.enabled(), pressure.overflow == OverflowPolicy::kBlock
+  /// and store.max_versions() >= pressure.high_watermark (throws
+  /// InvalidArgument otherwise). An ingest
   /// failure for wave w surfaces from this call before wave w runs;
   /// already-completed waves' results are lost with the exception, matching
   /// run_waves. Lifetime queue counters land in *stats_out when given.
@@ -214,12 +215,6 @@ class WorkflowEngine {
       const PressureOptions& pressure = PressureOptions::ahead(1),
       PressureStats* stats_out = nullptr);
 
-  /// Sheds one wave under overload: no step runs, every step is journaled as
-  /// kSkipped and the wave commits to the store, so recovery replays it as a
-  /// completed (empty) wave instead of re-running it. Same strictly-
-  /// increasing wave contract as run_wave.
-  WaveResult shed_wave(ds::Timestamp wave);
-
   const WorkflowSpec& spec() const noexcept { return spec_; }
   ds::DataStore& store() noexcept { return *store_; }
 
@@ -227,8 +222,6 @@ class WorkflowEngine {
   std::size_t execution_count(std::size_t step_index) const;
   std::size_t total_executions() const noexcept { return total_executions_; }
   std::size_t waves_run() const noexcept { return waves_run_; }
-  /// Waves dropped through shed_wave() (counted within waves_run()).
-  std::size_t waves_shed() const noexcept { return waves_shed_; }
   /// Wave of the most recent execution of a step; nullopt if never run.
   std::optional<ds::Timestamp> last_executed_wave(std::size_t step_index) const;
   /// Most recent wave run (or restored from a journal); nullopt if none.
@@ -351,7 +344,6 @@ class WorkflowEngine {
   WaveJournal* journal_ = nullptr;
   std::size_t total_executions_ = 0;
   std::size_t waves_run_ = 0;
-  std::size_t waves_shed_ = 0;
   std::optional<ds::Timestamp> last_wave_;
 };
 

@@ -10,6 +10,7 @@
 #include "common/hashing.h"
 #include "datastore/client.h"
 #include "workloads/read_table.h"
+#include "workloads/row_key.h"
 
 namespace smartflux::workloads {
 
@@ -18,11 +19,11 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 
 std::string detector_row(std::size_t x, std::size_t y) {
-  return "d" + std::to_string(x) + "_" + std::to_string(y);
+  return row_key("d", x, "_", y);
 }
 
 std::string zone_row(std::size_t zx, std::size_t zy) {
-  return "z" + std::to_string(zx) + "_" + std::to_string(zy);
+  return row_key("z", zx, "_", zy);
 }
 
 /// Weighted multiplicative model combining the three sensors (§5.1 step 2).

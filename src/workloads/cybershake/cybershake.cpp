@@ -7,15 +7,16 @@
 #include "common/error.h"
 #include "common/hashing.h"
 #include "workloads/read_table.h"
+#include "workloads/row_key.h"
 
 namespace smartflux::workloads {
 
 namespace {
 
-std::string source_row(std::size_t s) { return "f" + std::to_string(s); }
+std::string source_row(std::size_t s) { return row_key("f", s); }
 
 std::string site_row(std::size_t x, std::size_t y) {
-  return "s" + std::to_string(x) + "_" + std::to_string(y);
+  return row_key("s", x, "_", y);
 }
 
 /// Simplified ground-motion attenuation: intensity at distance d from a

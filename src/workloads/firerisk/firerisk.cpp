@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "common/hashing.h"
 #include "workloads/read_table.h"
+#include "workloads/row_key.h"
 
 namespace smartflux::workloads {
 
@@ -17,11 +18,11 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 
 std::string sensor_row(std::size_t x, std::size_t y) {
-  return "s" + std::to_string(x) + "_" + std::to_string(y);
+  return row_key("s", x, "_", y);
 }
 
 std::string area_row(std::size_t ax, std::size_t ay) {
-  return "a" + std::to_string(ax) + "_" + std::to_string(ay);
+  return row_key("a", ax, "_", ay);
 }
 
 }  // namespace
@@ -116,8 +117,8 @@ wms::WorkflowSpec FireRiskWorkload::make_workflow() const {
     s.outputs = {ds::ContainerRef::whole_table("sensors")};
     s.fn = [p](wms::StepContext& ctx) {
       FireRiskWorkload gen{*p};
-      // Whole-grid ingest as one batch (one lock acquisition, one observer
-      // snapshot). Rows are materialized before the non-owning PutOps.
+      // Whole-grid ingest as one batch (one lock acquisition per shard).
+      // Rows are materialized before the non-owning PutOps.
       std::vector<std::string> rows;
       rows.reserve(p->grid * p->grid);
       for (std::size_t x = 0; x < p->grid; ++x) {

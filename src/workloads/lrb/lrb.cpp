@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/hashing.h"
 #include "workloads/read_table.h"
+#include "workloads/row_key.h"
 
 namespace smartflux::workloads {
 
@@ -16,10 +17,10 @@ namespace {
 constexpr double kFreeFlowKmh = 90.0;
 
 std::string segment_row(std::size_t xway, std::size_t seg) {
-  return "x" + std::to_string(xway) + "_s" + (seg < 10 ? "0" : "") + std::to_string(seg);
+  return row_key("x", xway, seg < 10 ? "_s0" : "_s", seg);
 }
 
-std::string vehicle_row(std::size_t v) { return "v" + std::to_string(v); }
+std::string vehicle_row(std::size_t v) { return row_key("v", v); }
 
 }  // namespace
 
@@ -174,7 +175,7 @@ wms::WorkflowSpec LrbWorkload::make_workflow() const {
         ctx.client.put("reports", row, "speed", st.speed);
       }
       for (std::size_t q = 0; q < prm.queries_per_wave; ++q) {
-        const auto row = "q" + std::to_string(q);
+        const auto row = row_key("q", q);
         const auto xway = static_cast<double>(
             hash64(prm.seed, 7000, ctx.wave, q) % prm.num_xways);
         const auto from = static_cast<double>(
@@ -384,7 +385,7 @@ wms::WorkflowSpec LrbWorkload::make_workflow() const {
             run = 0;
           }
         }
-        ctx.client.put("classes", "x" + std::to_string(xway) + "_summary", "hotspots",
+        ctx.client.put("classes", row_key("x", xway, "_summary"), "hotspots",
                        static_cast<double>(hotspots));
       }
     };

@@ -9,12 +9,13 @@
 
 #include "common/error.h"
 #include "common/hashing.h"
+#include "workloads/row_key.h"
 
 namespace smartflux::workloads {
 
 namespace {
 
-std::string page_row(std::size_t p) { return "p" + std::to_string(p); }
+std::string page_row(std::size_t p) { return row_key("p", p); }
 
 /// Power iteration over an out-link adjacency list.
 std::vector<double> power_iterate(const std::vector<std::vector<std::size_t>>& out_links,
@@ -209,7 +210,7 @@ wms::WorkflowSpec PageRankWorkload::make_workflow() const {
 
       double top_mass = 0.0;
       for (std::size_t k = 0; k < p->top_k && k < scored.size(); ++k) {
-        ctx.client.put("top", "slot" + std::to_string(k), "score", scored[k].first);
+        ctx.client.put("top", row_key("slot", k), "score", scored[k].first);
         top_mass += scored[k].first;
       }
       // Histogram of rank mass by decile of the page ordering.
@@ -219,7 +220,7 @@ wms::WorkflowSpec PageRankWorkload::make_workflow() const {
         histogram[i * buckets / std::max<std::size_t>(1, scored.size())] += scored[i].first;
       }
       for (std::size_t b = 0; b < buckets; ++b) {
-        ctx.client.put("top", "hist" + std::to_string(b), "mass", histogram[b]);
+        ctx.client.put("top", row_key("hist", b), "mass", histogram[b]);
       }
       ctx.client.put("top", "summary", "top_mass", top_mass);
     };

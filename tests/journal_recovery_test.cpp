@@ -266,5 +266,48 @@ TEST(CrashRecovery, NextWaveContinuesAfterRestore) {
   EXPECT_EQ(engine.last_wave(), std::optional<ds::Timestamp>{6});
 }
 
+/// Defers every tolerant step it is asked about.
+class SkipAllController final : public TriggerController {
+ public:
+  bool should_execute(const WorkflowSpec&, std::size_t, ds::Timestamp) override { return false; }
+};
+
+TEST(CrashRecovery, AllSkippedWaveRestoresAsCompleted) {
+  StepSpec copy;
+  copy.id = "copy";
+  copy.max_error = 1.0;  // tolerant, so a controller may defer it
+  copy.fn = [](StepContext& ctx) {
+    ctx.client.put("t", "copy", "w", static_cast<double>(ctx.wave));
+  };
+  const WorkflowSpec spec("skippable", {copy});
+
+  ds::DataStore store;
+  WorkflowEngine engine(spec, store);
+  WaveJournal journal;
+  engine.attach_journal(&journal);
+  SyncController sync;
+  SkipAllController skip_all;
+  engine.run_wave(1, sync);
+  const WaveResult skipped = engine.run_wave(2, skip_all);
+  EXPECT_EQ(skipped.executed_count(), 0u);
+  engine.run_wave(3, sync);
+  ASSERT_EQ(journal.size(), 3u);
+  for (const StepStatus status : journal.records()[1].status) {
+    EXPECT_EQ(status, StepStatus::kSkipped);
+  }
+
+  // A fresh engine restored from the journal counts the all-skipped wave as
+  // completed and resumes past it.
+  ds::DataStore store2;
+  WorkflowEngine restored(spec, store2);
+  restored.restore_from_journal(journal);
+  EXPECT_EQ(restored.waves_run(), 3u);
+  EXPECT_EQ(restored.last_wave(), std::optional<ds::Timestamp>{3});
+  EXPECT_EQ(restored.execution_count(0), 2u);
+  EXPECT_EQ(restored.last_executed_wave(0), std::optional<ds::Timestamp>{3});
+  EXPECT_THROW(restored.run_wave(3, sync), InvalidArgument);
+  EXPECT_TRUE(restored.run_wave(4, sync).executed[0]);
+}
+
 }  // namespace
 }  // namespace smartflux::wms

@@ -130,7 +130,8 @@ TEST_F(GatewayServerTest, StatusReportsBridgeAndAdmission) {
   Client client = connect();
   ClientResponse response = client.request("GET", "/status");
   ASSERT_EQ(response.status, 200);
-  EXPECT_NE(response.body.find("\"health\":\"unknown\""), std::string::npos);
+  EXPECT_NE(response.body.find("\"phase\":\"unknown\""), std::string::npos);
+  EXPECT_EQ(response.body.find("\"health\""), std::string::npos);
   EXPECT_NE(response.body.find("\"admission\":\"open\""), std::string::npos);
 
   queue_.close();
