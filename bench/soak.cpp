@@ -526,13 +526,17 @@ int main(int argc, char** argv) {
   std::vector<double> lat_normal_ms, lat_burst_ms, checkpoint_ms;
   bool crash_armed = false, crashed = false;
   double recovery_seconds = -1.0;
+  // Counters of the engine and store the injected crash discards, so the
+  // report covers every app wave, not only those after the crash.
+  core::SmartFluxEngine::AuditStats audit_pre_crash;
+  ds::MemoryStats memory_pre_crash;
   ds::Timestamp crash_wave = 0, resume_wave = 0;
 
   for (ds::Timestamp wave = app_first; wave <= app_last; ++wave) {
     if (!crashed && !crash_armed && wave == crash_trigger) {
       DiskFaultRule crash;
       crash.kind = DiskFaultKind::kCrash;
-      crash.file_tag = "wal-s0";  // sharded store: per-family tags, not "wal"
+      crash.file_tag = "wal-s0";  // shard 0's WAL family
       crash.message = "soak: power cut";
       campaign.faults().add_disk_rule(crash);  // next WAL append dies
       crash_armed = true;
@@ -549,6 +553,8 @@ int main(int argc, char** argv) {
       crashed = true;
       crash_wave = wave;
       campaign.faults().clear_rules();
+      audit_pre_crash = sf->audit_stats();
+      memory_pre_crash = store->memory_stats();
       sf.reset();
       engine.reset();
       store.reset();
@@ -591,7 +597,15 @@ int main(int argc, char** argv) {
     lost_waves = static_cast<std::size_t>(app_last + 1 - expected);
   }
 
-  const ds::MemoryStats mstats = store->memory_stats();
+  core::SmartFluxEngine::AuditStats audit = sf->audit_stats();
+  audit.audits_run += audit_pre_crash.audits_run;
+  audit.violations += audit_pre_crash.violations;
+  audit.degradations += audit_pre_crash.degradations;
+  ds::MemoryStats mstats = store->memory_stats();
+  mstats.peak_tracked_bytes =
+      std::max(mstats.peak_tracked_bytes, memory_pre_crash.peak_tracked_bytes);
+  mstats.pressure_events += memory_pre_crash.pressure_events;
+  mstats.versions_trimmed += memory_pre_crash.versions_trimmed;
   const scenario::ScenarioStats& sstats = campaign.scenario().stats();
   const double ceiling = static_cast<double>(mem.soft_limit_bytes);
   const double peak_ratio = ceiling > 0 ? static_cast<double>(mstats.peak_tracked_bytes) / ceiling
@@ -631,8 +645,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(crash_wave),
               static_cast<unsigned long long>(resume_wave), recovery_seconds);
   std::printf("  \"audit\": {\"audits\": %zu, \"violations\": %zu, \"degradations\": %zu},\n",
-              sf->audit_stats().audits_run, sf->audit_stats().violations,
-              sf->audit_stats().degradations);
+              audit.audits_run, audit.violations, audit.degradations);
   std::printf("  \"lost_waves\": %zu,\n", lost_waves);
   std::printf("  \"faults_injected\": %zu,\n", campaign.faults().injected_count());
   std::printf("  \"pass\": %s\n", pass ? "true" : "false");

@@ -72,8 +72,9 @@ enum class DiskFaultKind {
 };
 
 /// One disk chaos scenario, matched against (file_tag, record_seq) — the
-/// sink's tag ("wal", "journal") and its zero-based append/sync sequence
-/// number. Same determinism guarantee as FaultRule: probabilistic draws come
+/// sink's tag ("wal-s<k>" for a store's shard-k WAL family, "journal") and
+/// its zero-based append/sync sequence number (a WAL append's seq is the
+/// record's store-global lsn). Same determinism guarantee as FaultRule: probabilistic draws come
 /// from a stateless hash of (seed, rule, tag, seq), so the schedule is
 /// byte-identical at any thread count and call order.
 struct DiskFaultRule {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <filesystem>
 #include <shared_mutex>
 
 #include "common/error.h"
 #include "common/lock_rank.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "datastore/checkpoint.h"
 #include "datastore/wal.h"
 #include "obs/metrics.h"
@@ -25,7 +25,14 @@ const char* wal_flush_policy_name(WalFlushPolicy policy) noexcept {
   return "?";
 }
 
-/// WAL families + checkpoint bookkeeping. One Family per shard: its mutex
+namespace {
+/// Per-shard metric series only when there is more than one shard: at one
+/// shard each would just duplicate its store-wide series (DESIGN.md §9).
+bool per_shard_series(std::size_t shards) noexcept { return shards > 1; }
+}  // namespace
+
+/// WAL families + checkpoint bookkeeping. One Family per shard (one at
+/// shards = 1, with the same names, lsns and commit protocol): its mutex
 /// serializes appends to that shard's segment and is always acquired after
 /// the mutating thread's slot lock (lock rank kLockRankWal), so WAL order
 /// equals apply order per shard; across shards the store-global lsn in every
@@ -43,9 +50,8 @@ struct DataStore::Durability {
   DurabilityOptions options;
   std::size_t shards = 1;
   std::vector<std::unique_ptr<Family>> families;  ///< size == shards
-  /// Store-global lsn counter shared by every family (shards > 1 only; the
-  /// unsharded store keeps the writer's internal record count as its lsn so
-  /// the legacy fault-injection seq space is unchanged).
+  /// Store-global lsn counter shared by every family. A fresh store starts
+  /// at 0; a recovered one continues past the highest lsn on disk.
   std::atomic<std::uint64_t> next_lsn{0};
 
   std::mutex meta_mutex;                    ///< rank kLockRankDurabilityMeta
@@ -60,33 +66,29 @@ struct DataStore::Durability {
   obs::Histogram* checkpoint_duration = nullptr;
   bool metrics_wired = false;
 
-  std::atomic<std::uint64_t>* lsn_source() noexcept {
-    return shards == 1 ? nullptr : &next_lsn;
-  }
-  /// Disk-fault schedule tag of one family: the legacy "wal" for the
-  /// unsharded store, "wal-s<k>" per shard otherwise.
-  std::string fault_tag(std::size_t shard) const {
-    return shards == 1 ? std::string("wal") : "wal-s" + std::to_string(shard);
-  }
   std::string segment_path(std::size_t shard, std::uint64_t seq) const {
-    const std::string name =
-        shards == 1 ? wal_segment_name(seq) : sharded_wal_segment_name(shard, seq);
-    return (std::filesystem::path(dir) / name).string();
+    return (std::filesystem::path(dir) / wal_segment_name(shard, seq)).string();
   }
   std::string checkpoint_path(std::uint64_t cut) const {
     return (std::filesystem::path(dir) / checkpoint_file_name(cut)).string();
   }
 
-  /// Opens one writer per shard at segment `seq`. `first_record_seq` only
-  /// matters for the unsharded store (lsn continuity across recovery).
-  void open_writers(std::uint64_t seq, std::uint64_t first_record_seq) {
+  /// A writer for `shard`'s segment `seq`, tagged "wal-s<k>" in the
+  /// disk-fault schedule and drawing lsns from the store-global counter.
+  std::unique_ptr<WalWriter> open_writer(std::size_t shard, std::uint64_t seq) {
+    std::string tag = "wal-s";
+    tag += std::to_string(shard);
+    return std::make_unique<WalWriter>(segment_path(shard, seq), options.flush,
+                                       options.fault_injector, next_lsn, std::move(tag));
+  }
+
+  /// Opens one family per shard at segment `seq`.
+  void open_writers(std::uint64_t seq) {
     families.clear();
     families.reserve(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
       auto family = std::make_unique<Family>();
-      family->writer = std::make_unique<WalWriter>(segment_path(shard, seq), options.flush,
-                                                   options.fault_injector, first_record_seq,
-                                                   lsn_source(), fault_tag(shard));
+      family->writer = open_writer(shard, seq);
       families.push_back(std::move(family));
     }
   }
@@ -102,10 +104,7 @@ struct DataStore::Durability {
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(families.size());
     for (auto& family : families) locks.emplace_back(family->mutex);
-    const std::optional<std::uint64_t> lsn =
-        shards == 1 ? std::nullopt
-                    : std::optional<std::uint64_t>(
-                          next_lsn.fetch_add(1, std::memory_order_relaxed));
+    const std::uint64_t lsn = next_lsn.fetch_add(1, std::memory_order_relaxed);
     for (auto& family : families) append_one(*family->writer, lsn);
   }
 
@@ -123,14 +122,11 @@ struct DataStore::Durability {
       family.obs.bytes = bytes;
       family.obs.syncs = syncs;
       family.obs.fsync_duration = fsync_duration;
-      // Per-shard byte series only when actually sharded: one series per
-      // shard is bounded cardinality, but the unsharded default would just
-      // duplicate sf_ds_wal_bytes_total (see DESIGN.md §9).
       family.obs.shard_bytes =
-          shards == 1 ? nullptr
-                      : &reg.counter("sf_ds_wal_shard_bytes_total",
-                                     {{"shard", std::to_string(shard)}},
-                                     "WAL bytes appended per shard family");
+          per_shard_series(shards)
+              ? &reg.counter("sf_ds_wal_shard_bytes_total", {{"shard", std::to_string(shard)}},
+                             "WAL bytes appended per shard family")
+              : nullptr;
       if (family.writer) family.writer->set_obs(&family.obs);
     }
     wave_commits =
@@ -186,7 +182,7 @@ struct DataStore::StoreObs {
   StoreObs(obs::MetricsRegistry& registry, obs::Tracer* tr, unsigned shift, std::size_t shards)
       : tracer(tr), registry(&registry) {
     sample_mask = (std::uint64_t{1} << shift) - 1;
-    if (shards > 1) {
+    if (per_shard_series(shards)) {
       shard_ops.reserve(shards);
       for (std::size_t shard = 0; shard < shards; ++shard) {
         shard_ops.push_back(&registry.counter("sf_ds_shard_ops_total",
@@ -251,7 +247,7 @@ std::uint64_t next_registry_gen() noexcept {
 }  // namespace
 
 DataStore::DataStore(std::size_t max_versions, ShardOptions shard_options)
-    : max_versions_(max_versions), shard_options_(shard_options), ring_(shard_options) {
+    : max_versions_(max_versions), ring_(shard_options) {
   SF_CHECK(max_versions >= 1, "DataStore must retain at least one version");
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
 }
@@ -316,7 +312,7 @@ std::shared_ptr<DataStore::TableEntry> DataStore::entry_for(const TableName& tab
     // Logged before the new registry snapshot is published, so the create
     // record precedes every put record for this table in each family's log.
     // If the append throws, the table was never created.
-    durability_->broadcast([&table](WalWriter& writer, std::optional<std::uint64_t> lsn) {
+    durability_->broadcast([&table](WalWriter& writer, std::uint64_t lsn) {
       writer.append_create_table(table, lsn);
     });
   }
@@ -363,71 +359,24 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
     t0 = std::chrono::steady_clock::now();
   }
   const auto entry = entry_for(table);
-
-  if (shards() == 1) {
-    // Unsharded fast path: one lock, one WAL record — byte-identical
-    // behavior (and log) to the pre-sharding store.
-    Slot& slot = *entry->slots[0];
-    LockRankScope table_rank(kLockRankTable);
-    std::unique_lock lock(slot.mutex);
-    std::size_t applied = 0;
-    try {
-      for (const PutOp& op : ops) {
-        slot.table.put(op.row, op.column, ts, op.value);
-        ++applied;
-      }
-    } catch (...) {
-      // A mid-batch failure (timestamp regression) leaves a prefix applied;
-      // log exactly that prefix so replay reproduces the in-memory state.
-      if (durability_ && applied > 0) {
-        auto& family = *durability_->families[0];
-        LockRankScope wal_rank(kLockRankWal);
-        std::lock_guard wal_lock(family.mutex);
-        family.writer->append_batch(table, ts, ops.first(applied));
-      }
-      throw;
-    }
-    if (durability_) {
-      auto& family = *durability_->families[0];
-      LockRankScope wal_rank(kLockRankWal);
-      std::lock_guard wal_lock(family.mutex);
-      family.writer->append_batch(table, ts, ops);
-    }
+  const std::size_t first = ring_.shard_of(ops.front().row);
+  const bool one_shard = std::all_of(ops.begin() + 1, ops.end(), [&](const PutOp& op) {
+    return ring_.shard_of(op.row) == first;
+  });
+  if (one_shard) {
+    // Every batch at one shard, and any batch whose rows share a shard:
+    // applied and logged in place, no split.
+    apply_shard_batch(table, *entry, first, ts, ops);
   } else {
     // Split by shard (stable: original order within each sub-batch, so the
     // same-cell-twice-in-one-batch case keeps its order — equal rows always
-    // share a shard). Each sub-batch applies under its own slot lock and
-    // logs ONE record to its own WAL family.
-    std::vector<std::vector<std::uint32_t>> by_shard(shards());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      by_shard[ring_.shard_of(ops[i].row)].push_back(static_cast<std::uint32_t>(i));
-    }
-    std::vector<std::size_t> hit;  // shards with a non-empty sub-batch
+    // share a shard). Sub-batches apply in shard index order on the calling
+    // thread, each under its own slot lock and as ONE record in its own WAL
+    // family; the first failure stops the rest.
+    std::vector<std::vector<PutOp>> by_shard(shards());
+    for (const PutOp& op : ops) by_shard[ring_.shard_of(op.row)].push_back(op);
     for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
-      if (!by_shard[shard].empty()) hit.push_back(shard);
-    }
-    if (obs_ && !obs_->shard_ops.empty()) {
-      for (const std::size_t shard : hit) obs_->shard_ops[shard]->inc(by_shard[shard].size());
-    }
-    ThreadPool* pool = shard_options_.batch_pool;
-    if (pool != nullptr && hit.size() > 1 &&
-        ops.size() >= shard_options_.parallel_batch_min_ops) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(hit.size());
-      for (const std::size_t shard : hit) {
-        tasks.push_back([this, &table, entry, shard, ts, ops, &by_shard] {
-          apply_shard_batch(table, *entry, shard, ts, ops, by_shard[shard]);
-        });
-      }
-      // Caller-participating run_all: safe even when the calling step itself
-      // runs on this same pool. Rethrows the first failure in shard order;
-      // other shards' sub-batches still complete (each one applied + logged
-      // atomically, so WAL and memory stay in agreement).
-      pool->run_all(std::move(tasks));
-    } else {
-      for (const std::size_t shard : hit) {
-        apply_shard_batch(table, *entry, shard, ts, ops, by_shard[shard]);
-      }
+      if (!by_shard[shard].empty()) apply_shard_batch(table, *entry, shard, ts, by_shard[shard]);
     }
   }
 
@@ -435,41 +384,31 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
 }
 
 void DataStore::apply_shard_batch(const TableName& table, TableEntry& entry, std::size_t shard,
-                                  Timestamp ts, std::span<const PutOp> ops,
-                                  const std::vector<std::uint32_t>& indices) {
-  // Materialize the sub-batch once: it is both the apply order and the ONE
-  // WAL record for this shard, so replaying the family reproduces exactly
-  // what this slot applied.
-  std::vector<PutOp> sub;
-  sub.reserve(indices.size());
-  for (const std::uint32_t i : indices) sub.push_back(ops[i]);
-
+                                  Timestamp ts, std::span<const PutOp> ops) {
+  if (obs_ && !obs_->shard_ops.empty()) obs_->shard_ops[shard]->inc(ops.size());
   Slot& slot = *entry.slots[shard];
   LockRankScope table_rank(kLockRankTable);
   std::unique_lock lock(slot.mutex);
   std::size_t applied = 0;
+  std::exception_ptr failure;
   try {
-    for (const PutOp& op : sub) {
+    for (const PutOp& op : ops) {
       slot.table.put(op.row, op.column, ts, op.value);
       ++applied;
     }
   } catch (...) {
-    // Same prefix rule as the unsharded batch, per shard: log exactly what
-    // this slot applied before the failure.
-    if (durability_ && applied > 0) {
-      auto& family = *durability_->families[shard];
-      LockRankScope wal_rank(kLockRankWal);
-      std::lock_guard wal_lock(family.mutex);
-      family.writer->append_batch(table, ts, std::span<const PutOp>(sub).first(applied));
-    }
-    throw;
+    // A mid-batch failure (timestamp regression) leaves a prefix applied.
+    failure = std::current_exception();
   }
-  if (durability_) {
+  // Log exactly the applied prefix, as ONE record, so replaying the family
+  // reproduces what this slot holds.
+  if (durability_ && applied > 0) {
     auto& family = *durability_->families[shard];
     LockRankScope wal_rank(kLockRankWal);
     std::lock_guard wal_lock(family.mutex);
-    family.writer->append_batch(table, ts, sub);
+    family.writer->append_batch(table, ts, ops.first(applied));
   }
+  if (failure) std::rethrow_exception(failure);
 }
 
 void DataStore::erase(const TableName& table, const RowKey& row, const ColumnKey& column,
@@ -660,7 +599,7 @@ void DataStore::drop_table(const TableName& table) {
   auto next = std::make_shared<TableMap>(*tables_);
   next->erase(table);
   if (durability_) {
-    durability_->broadcast([&table](WalWriter& writer, std::optional<std::uint64_t> lsn) {
+    durability_->broadcast([&table](WalWriter& writer, std::uint64_t lsn) {
       writer.append_drop_table(table, lsn);
     });
   }
@@ -672,7 +611,7 @@ void DataStore::clear() {
   LockRankScope rank(kLockRankRegistry);
   std::lock_guard lock(registry_mutex_);
   if (durability_) {
-    durability_->broadcast([](WalWriter& writer, std::optional<std::uint64_t> lsn) {
+    durability_->broadcast([](WalWriter& writer, std::uint64_t lsn) {
       writer.append_clear(lsn);
     });
   }
@@ -692,8 +631,8 @@ std::vector<CellVersion> DataStore::cell_versions(const TableName& table, const 
 
 namespace {
 
-/// WAL segment files (both namings, as (shard, seq) plus the actual file
-/// name, sorted by (seq, shard)) and checkpoint cuts found in a data dir.
+/// WAL segment files (as (shard, seq) plus the actual file name, sorted by
+/// (seq, shard)) and checkpoint cuts found in a data dir.
 struct FoundSegment {
   WalSegmentId id;
   std::string name;
@@ -708,8 +647,14 @@ DirScan scan_data_dir(const std::string& dir, bool remove_tmp) {
   std::error_code ec;
   for (const auto& dirent : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = dirent.path().filename().string();
-    if (const auto id = parse_any_wal_segment_name(name)) {
+    if (const auto id = parse_wal_segment_name(name)) {
       out.segments.push_back(FoundSegment{*id, name});
+    } else if (name.starts_with("wal-") && name.ends_with(".sflog")) {
+      // A WAL file this store cannot place (e.g. the pre-shard
+      // "wal-%06d.sflog" layout). Skipping it would recover an empty or
+      // partial store, so refuse the dir instead.
+      throw Error("unrecognized WAL segment '" + (std::filesystem::path(dir) / name).string() +
+                  "' in data dir; only wal-s<shard>-<seq>.sflog segments are recovered");
     } else if (const auto cut = parse_checkpoint_file_name(name)) {
       out.checkpoints.push_back(*cut);
     } else if (remove_tmp && name.ends_with(".tmp")) {
@@ -729,15 +674,15 @@ DirScan scan_data_dir(const std::string& dir, bool remove_tmp) {
 }
 
 /// Best-effort deletion of everything a durable checkpoint at `cut`
-/// supersedes: WAL segments <= cut (either naming — a store reopened with a
-/// different shard count leaves the other family behind) and older
+/// supersedes: WAL segments <= cut of every family (a store reopened with a
+/// different shard count leaves the other families behind) and older
 /// checkpoints.
 void remove_superseded(const std::string& dir, std::uint64_t cut) {
   std::error_code ec;
   for (const auto& dirent : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = dirent.path().filename().string();
     bool superseded = false;
-    if (const auto id = parse_any_wal_segment_name(name)) superseded = id->seq <= cut;
+    if (const auto id = parse_wal_segment_name(name)) superseded = id->seq <= cut;
     if (const auto ck = parse_checkpoint_file_name(name)) superseded = *ck < cut;
     if (superseded) {
       std::error_code rm_ec;
@@ -764,7 +709,7 @@ void DataStore::enable_durability(const std::string& dir, DurabilityOptions opti
   durability->options = options;
   durability->shards = shards();
   durability->segment_seq = 1;
-  durability->open_writers(/*seq=*/1, /*first_record_seq=*/0);
+  durability->open_writers(/*seq=*/1);
   attach_durability(std::move(durability));
 }
 
@@ -903,26 +848,11 @@ std::unique_ptr<DataStore> DataStore::recover(const std::string& dir, Durability
       ++local.segments_replayed;
     }
 
-    if (logs.size() == 1) {
-      // Single family at this seq (unsharded dirs, and the common case of a
-      // shard generation of one): file order IS mutation order.
-      for (const WalRecord& record : logs[0]) {
-        max_lsn = std::max(max_lsn, record.lsn);
-        any_records = true;
-        if (record.kind == WalRecordKind::kWaveCommit) {
-          last_wave = record.wave;
-        } else {
-          store->replay_record(record);
-        }
-        ++local.records_replayed;
-      }
-      continue;
-    }
-
     std::vector<std::size_t> head(logs.size(), 0);
     for (;;) {
       // Lowest lsn among the family heads; per-family order is already lsn
-      // order (each family draws under its mutex), so this is a k-way merge.
+      // order (each family draws under its mutex), so this is a k-way merge
+      // (file order for a generation of one family).
       std::uint64_t min_lsn = 0;
       bool have = false;
       for (std::size_t f = 0; f < logs.size(); ++f) {
@@ -965,11 +895,9 @@ std::unique_ptr<DataStore> DataStore::recover(const std::string& dir, Durability
   durability->shards = store->shards();
   durability->segment_seq = next_seq;
   durability->committed_wave = last_wave;
-  // Sharded stores continue the store-global lsn sequence past everything on
-  // disk; the unsharded store keeps the legacy record-count seq space via
-  // first_record_seq below.
+  // The store-global lsn sequence continues past everything on disk.
   durability->next_lsn.store(any_records ? max_lsn + 1 : 0, std::memory_order_relaxed);
-  durability->open_writers(next_seq, /*first_record_seq=*/local.records_replayed);
+  durability->open_writers(next_seq);
   store->attach_durability(std::move(durability));
 
   local.last_durable_wave = last_wave;
@@ -997,23 +925,14 @@ void DataStore::commit_wave(Timestamp wave) {
     std::vector<std::unique_lock<std::mutex>> family_locks;
     family_locks.reserve(durability_->families.size());
     for (auto& family : durability_->families) family_locks.emplace_back(family->mutex);
-    if (durability_->shards == 1) {
-      // Legacy single-call path: append + fsync in one step, identical log
-      // and fsync cadence to the unsharded store.
-      durability_->families[0]->writer->append_wave_commit(wave);
-    } else {
-      // Two-phase all-shards barrier. Phase 1 writes the same-lsn commit
-      // record into EVERY family's file (flushed, not yet synced); phase 2
-      // fsyncs each family. Recovery only honors the stamp when all families
-      // hold it, so no shard's durable state can be ahead of the wave
-      // boundary regardless of where a crash lands.
-      const std::uint64_t lsn =
-          durability_->next_lsn.fetch_add(1, std::memory_order_relaxed);
-      for (auto& family : durability_->families) {
-        family->writer->append_wave_commit(wave, lsn, /*sync_now=*/false);
-      }
-      for (auto& family : durability_->families) family->writer->sync();
-    }
+    // Two-phase all-shards barrier. Phase 1 writes the same-lsn commit
+    // record into EVERY family's file (flushed, not yet synced); phase 2
+    // fsyncs each family. Recovery only honors the stamp when all families
+    // hold it, so no shard's durable state can be ahead of the wave boundary
+    // regardless of where a crash lands. One family: one flush, one fsync.
+    const std::uint64_t lsn = durability_->next_lsn.fetch_add(1, std::memory_order_relaxed);
+    for (auto& family : durability_->families) family->writer->append_wave_commit(wave, lsn);
+    for (auto& family : durability_->families) family->writer->sync();
     LockRankScope meta_rank(kLockRankDurabilityMeta);
     std::lock_guard meta(durability_->meta_mutex);
     durability_->committed_wave = wave;
@@ -1155,12 +1074,8 @@ void DataStore::checkpoint() {
     cut = durability_->segment_seq;
     for (std::size_t shard = 0; shard < durability_->families.size(); ++shard) {
       auto& family = *durability_->families[shard];
-      const std::uint64_t next_record_seq = family.writer->record_seq();
       family.writer.reset();  // flushes; closing this family's segment at the cut
-      family.writer = std::make_unique<WalWriter>(
-          durability_->segment_path(shard, cut + 1), durability_->options.flush,
-          durability_->options.fault_injector, next_record_seq, durability_->lsn_source(),
-          durability_->fault_tag(shard));
+      family.writer = durability_->open_writer(shard, cut + 1);
       if (family.obs.records != nullptr) family.writer->set_obs(&family.obs);
     }
     durability_->segment_seq = cut + 1;

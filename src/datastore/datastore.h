@@ -156,7 +156,9 @@ class DataStore {
   /// mutation from here on is appended as a checksummed record; the
   /// DurabilityOptions flush policy decides the fsync cadence. The store
   /// must still be empty and `dir` must not already hold WAL/checkpoint
-  /// files — attach to an existing data dir with recover() instead.
+  /// files — attach to an existing data dir with recover() instead. A
+  /// `wal-*.sflog` file that is not a `wal-s<shard>-<seq>.sflog` segment
+  /// (e.g. the pre-shard `wal-%06d.sflog` layout) throws Error naming it.
   void enable_durability(const std::string& dir, DurabilityOptions options = {});
 
   /// Crash-consistent recovery: loads the newest checkpoint in `dir` (if
@@ -167,8 +169,10 @@ class DataStore {
   /// receives what was found (incl. the last durable wave for the
   /// wave-boundary consistency rule).
   /// `shard_options` shapes the *recovered* store; the dir may have been
-  /// written with any shard count (legacy and sharded segment names both
-  /// replay, with every row re-routed through the new ring).
+  /// written with any shard count (every row is re-routed through the new
+  /// ring). Throws Error, naming the file, on a `wal-*.sflog` name that is
+  /// not a `wal-s<shard>-<seq>.sflog` segment: the pre-shard layout is not
+  /// recovered, and skipping it would yield an empty store.
   static std::unique_ptr<DataStore> recover(const std::string& dir,
                                             DurabilityOptions options = {},
                                             std::size_t max_versions = 2,
@@ -227,7 +231,6 @@ class DataStore {
 
   std::size_t max_versions() const noexcept { return max_versions_; }
   std::size_t shards() const noexcept { return ring_.shards(); }
-  const ShardOptions& shard_options() const noexcept { return shard_options_; }
   /// Shard owning `row` — exposed for tests and benchmarks.
   std::size_t shard_of(const RowKey& row) const noexcept { return ring_.shard_of(row); }
 
@@ -262,11 +265,11 @@ class DataStore {
   /// Existing entry, or creates one (copy-on-write registry swap), logging a
   /// create-table record (broadcast to every WAL family) when durable.
   std::shared_ptr<TableEntry> entry_for(const TableName& table);
-  /// Applies one sub-batch (the ops of `indices`) to its shard slot and WAL
-  /// family.
+  /// Applies `ops` (all routed to `shard`) to that shard's slot and logs the
+  /// applied prefix — all of `ops` unless a put throws — as one batch record
+  /// in the shard's WAL family, then rethrows any failure.
   void apply_shard_batch(const TableName& table, TableEntry& entry, std::size_t shard,
-                         Timestamp ts, std::span<const PutOp> ops,
-                         const std::vector<std::uint32_t>& indices);
+                         Timestamp ts, std::span<const PutOp> ops);
   /// The body of both snapshot_flat overloads. Locks every slot of the
   /// container's table shared in index order, seeks each slot to the
   /// container's row prefix through `scan(table, prefix, visit)`
@@ -286,7 +289,6 @@ class DataStore {
   void replay_record(const struct WalRecord& record);
 
   std::size_t max_versions_;
-  ShardOptions shard_options_;
   ShardRing ring_;
   std::unique_ptr<StoreObs> obs_;  ///< null unless set_instrumentation attached one
   /// Null unless durability is enabled. The per-family WAL mutexes inside

@@ -54,7 +54,8 @@ struct DurabilityOptions {
   /// table, rotates the WAL, and deletes the replaced segments.
   std::size_t checkpoint_every_waves = 0;
   /// Optional deterministic disk-fault injection layer (not owned). The WAL
-  /// queries it per record append (tag "wal") and per fsync.
+  /// queries it per record append (tag "wal-s<k>" for shard k's family,
+  /// seq = the record's lsn) and per fsync.
   FaultInjector* fault_injector = nullptr;
   /// Optional metrics registry (not owned): WAL record/byte/sync counters,
   /// fsync + checkpoint + recovery duration histograms under sf_ds_wal_* /

@@ -9,44 +9,33 @@
 #include "common/error.h"
 #include "common/hashing.h"
 
-namespace smartflux {
-class ThreadPool;
-}
-
 namespace smartflux::ds {
 
-/// Sharding configuration of a DataStore. `shards = 1` (the default) keeps
-/// the store byte-for-byte compatible with the unsharded layout: one lock
-/// domain per table, legacy `wal-%06d.sflog` segment names, no per-shard
-/// metric series.
+/// Sharding configuration of a DataStore. Every store is a ring of N >= 1
+/// shards and runs one code path at any N: one lock domain per (table,
+/// shard), one WAL family per shard (`wal-s<k>-%06d.sflog`), one store-wide
+/// lsn space. Per-shard metric series appear only when `shards > 1`.
 struct ShardOptions {
   /// Number of shards each table (and the WAL) is partitioned into. Rows are
   /// routed by consistent hashing of the row key; all writes for one row
   /// always land in the same shard.
   std::size_t shards = 1;
-  /// Virtual nodes per shard on the hash ring. More vnodes smooth the key
-  /// distribution across shards; the default is plenty for <= 64 shards.
-  std::size_t vnodes_per_shard = 64;
-  /// Seed of the ring's placement hash. Stores that must agree on routing
-  /// (e.g. a recovered store and the one that wrote the WAL) need the same
-  /// seed — recovery re-routes every replayed row anyway, so this only
-  /// matters for cross-store comparisons of per-shard state.
-  std::uint64_t ring_seed = 0x736d6172746678ULL;  // "smartfx"
-  /// Optional pool (not owned) on which put_batch applies its per-shard
-  /// sub-batches concurrently. Null = sub-batches apply on the calling
-  /// thread, still under per-shard locks (concurrent *callers* scale).
-  ThreadPool* batch_pool = nullptr;
-  /// Batches smaller than this apply serially even when a pool is set — the
-  /// split bookkeeping must be amortized over enough cells to beat one lock.
-  std::size_t parallel_batch_min_ops = 256;
 };
 
+/// Virtual nodes per shard on the hash ring: enough to smooth the key
+/// distribution for <= 64 shards.
+constexpr std::size_t kVnodesPerShard = 64;
+/// Seed of the ring's placement hash ("smartfx"). Fixed, so every store with
+/// the same shard count routes every row the same way; recovery re-routes
+/// every replayed row through its own ring anyway.
+constexpr std::uint64_t kRingSeed = 0x736d6172746678ULL;
+
 /// Consistent-hashing ring mapping row keys to shard indices: each shard
-/// owns `vnodes_per_shard` points placed by a stateless hash; a key belongs
+/// owns `kVnodesPerShard` points placed by a stateless hash; a key belongs
 /// to the first point clockwise from its own hash (murmur-style point hash +
-/// virtual nodes, the classic memcached/chash layout). Deterministic in
-/// (shards, vnodes, seed), so the same key routes to the same shard across
-/// runs, processes, and recoveries.
+/// virtual nodes, the classic memcached/chash layout). Deterministic in the
+/// shard count, so the same key routes to the same shard across runs,
+/// processes, and recoveries.
 ///
 /// Virtual nodes matter for the *stability* property: when a store is
 /// reopened with one more shard, only the keys whose arc the new shard's
@@ -56,20 +45,19 @@ class ShardRing {
  public:
   ShardRing() : ShardRing(ShardOptions{}) {}
 
-  explicit ShardRing(const ShardOptions& options)
-      : shards_(options.shards), seed_(options.ring_seed) {
+  explicit ShardRing(const ShardOptions& options) : shards_(options.shards) {
     SF_CHECK(options.shards >= 1, "ShardOptions::shards must be >= 1");
-    SF_CHECK(options.vnodes_per_shard >= 1, "ShardOptions::vnodes_per_shard must be >= 1");
     if (shards_ == 1) return;  // every key routes to shard 0; no ring needed
-    points_.reserve(shards_ * options.vnodes_per_shard);
+    points_.reserve(shards_ * kVnodesPerShard);
     for (std::size_t shard = 0; shard < shards_; ++shard) {
-      for (std::size_t vnode = 0; vnode < options.vnodes_per_shard; ++vnode) {
-        points_.push_back(Point{hash64(seed_, shard, vnode), static_cast<std::uint32_t>(shard)});
+      for (std::size_t vnode = 0; vnode < kVnodesPerShard; ++vnode) {
+        points_.push_back(
+            Point{hash64(kRingSeed, shard, vnode), static_cast<std::uint32_t>(shard)});
       }
     }
     std::sort(points_.begin(), points_.end(), [](const Point& a, const Point& b) {
       // Owner breaks hash ties so the ring is a deterministic function of the
-      // options even in the astronomically unlikely collision case.
+      // shard count even in the astronomically unlikely collision case.
       return a.hash != b.hash ? a.hash < b.hash : a.owner < b.owner;
     });
   }
@@ -80,7 +68,7 @@ class ShardRing {
   /// circuits to 0 without hashing.
   std::size_t shard_of(std::string_view row) const noexcept {
     if (shards_ == 1) return 0;
-    const std::uint64_t h = hash64_bytes(row, seed_);
+    const std::uint64_t h = hash64_bytes(row, kRingSeed);
     // First point at or after h, wrapping to the first point past the top.
     auto it = std::lower_bound(points_.begin(), points_.end(), h,
                                [](const Point& p, std::uint64_t key) { return p.hash < key; });
@@ -95,7 +83,6 @@ class ShardRing {
   };
 
   std::size_t shards_;
-  std::uint64_t seed_;
   std::vector<Point> points_;  ///< empty when shards_ == 1
 };
 

@@ -119,12 +119,6 @@ std::optional<std::uint64_t> parse_seq_name(std::string_view name, std::string_v
 
 }  // namespace
 
-std::string wal_segment_name(std::uint64_t seq) { return format_seq_name("wal-", ".sflog", seq); }
-
-std::optional<std::uint64_t> parse_wal_segment_name(std::string_view name) {
-  return parse_seq_name(name, "wal-", ".sflog");
-}
-
 std::string checkpoint_file_name(std::uint64_t cut_seq) {
   return format_seq_name("checkpoint-", ".sfck", cut_seq);
 }
@@ -133,15 +127,14 @@ std::optional<std::uint64_t> parse_checkpoint_file_name(std::string_view name) {
   return parse_seq_name(name, "checkpoint-", ".sfck");
 }
 
-std::string sharded_wal_segment_name(std::size_t shard, std::uint64_t seq) {
+std::string wal_segment_name(std::size_t shard, std::uint64_t seq) {
   char buf[80];
   std::snprintf(buf, sizeof buf, "wal-s%llu-%06llu.sflog",
                 static_cast<unsigned long long>(shard), static_cast<unsigned long long>(seq));
   return buf;
 }
 
-std::optional<WalSegmentId> parse_any_wal_segment_name(std::string_view name) {
-  if (const auto seq = parse_wal_segment_name(name)) return WalSegmentId{0, *seq};
+std::optional<WalSegmentId> parse_wal_segment_name(std::string_view name) {
   constexpr std::string_view prefix = "wal-s";
   if (name.size() <= prefix.size() || name.substr(0, prefix.size()) != prefix) {
     return std::nullopt;
@@ -162,15 +155,13 @@ std::optional<WalSegmentId> parse_any_wal_segment_name(std::string_view name) {
 // WalWriter
 
 WalWriter::WalWriter(std::string path, WalFlushPolicy policy, FaultInjector* injector,
-                     std::uint64_t first_record_seq, std::atomic<std::uint64_t>* lsn_source,
-                     std::string fault_tag)
+                     std::atomic<std::uint64_t>& lsn_counter, std::string fault_tag)
     : path_(std::move(path)),
       file_(SyncFile::open_append(path_)),
       policy_(policy),
       injector_(injector),
-      lsn_source_(lsn_source),
-      fault_tag_(std::move(fault_tag)),
-      record_seq_(first_record_seq) {}
+      lsn_counter_(lsn_counter),
+      fault_tag_(std::move(fault_tag)) {}
 
 WalWriter::~WalWriter() {
   if (!broken_ && !pending_.empty()) {
@@ -190,23 +181,21 @@ void WalWriter::check_usable() const {
 }
 
 std::uint64_t WalWriter::next_lsn() noexcept {
-  return lsn_source_ != nullptr ? lsn_source_->fetch_add(1, std::memory_order_relaxed)
-                                : record_seq_;
+  return lsn_counter_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void WalWriter::append(std::string_view payload, int sync_class, std::uint64_t lsn) {
   check_usable();
   SF_CHECK(payload.size() <= kWalMaxPayloadBytes, "WAL record payload too large");
-  const std::uint64_t seq = lsn;
 
   DiskWriteFault fault = DiskWriteFault::kNone;
-  if (injector_ != nullptr) fault = injector_->disk_write_fault(fault_tag_, seq);
+  if (injector_ != nullptr) fault = injector_->disk_write_fault(fault_tag_, lsn);
   if (fault == DiskWriteFault::kCrash) {
     broken_ = true;
     // A crash before the record: previously buffered records die with the
     // process (they were never synced), so drop them too.
     pending_.clear();
-    throw InjectedFault("injected crash before WAL record " + std::to_string(seq));
+    throw InjectedFault("injected crash before WAL record " + std::to_string(lsn));
   }
 
   std::string frame;
@@ -226,12 +215,11 @@ void WalWriter::append(std::string_view payload, int sync_class, std::uint64_t l
     const std::size_t keep =
         fault == DiskWriteFault::kShortWrite
             ? frame.size() - 1
-            : injector_->torn_write_bytes(fault_tag_, seq, frame.size());
+            : injector_->torn_write_bytes(fault_tag_, lsn, frame.size());
     file_.write_all(frame.data(), keep);
-    throw InjectedFault("injected torn write at WAL record " + std::to_string(seq));
+    throw InjectedFault("injected torn write at WAL record " + std::to_string(lsn));
   }
 
-  ++record_seq_;
   bytes_appended_ += frame.size();
   if (obs_ != nullptr && obs_->records != nullptr) {
     obs_->records->inc();
@@ -241,12 +229,11 @@ void WalWriter::append(std::string_view payload, int sync_class, std::uint64_t l
 
   pending_.append(frame);
   const bool policy_sync =
-      sync_class == 2 ||
       (sync_class == 1 && policy_ != WalFlushPolicy::kEveryWave) ||
-      (sync_class != 3 && policy_ == WalFlushPolicy::kEveryOp);
+      (sync_class != 2 && policy_ == WalFlushPolicy::kEveryOp);
   if (policy_sync) {
     sync();
-  } else if (sync_class == 3 || pending_.size() >= kPendingFlushBytes ||
+  } else if (sync_class == 2 || pending_.size() >= kPendingFlushBytes ||
              policy_ != WalFlushPolicy::kEveryWave) {
     flush();
   }
@@ -335,40 +322,35 @@ void WalWriter::append_erase(std::string_view table, std::string_view row,
   append(scratch_, 0, lsn);
 }
 
-void WalWriter::append_create_table(std::string_view table, std::optional<std::uint64_t> lsn) {
-  const std::uint64_t seq = lsn ? *lsn : next_lsn();
+void WalWriter::append_create_table(std::string_view table, std::uint64_t lsn) {
   scratch_.clear();
   put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kCreateTable));
-  put_u64(scratch_, seq);
+  put_u64(scratch_, lsn);
   put_str(scratch_, table);
-  append(scratch_, 1, seq);
+  append(scratch_, 1, lsn);
 }
 
-void WalWriter::append_drop_table(std::string_view table, std::optional<std::uint64_t> lsn) {
-  const std::uint64_t seq = lsn ? *lsn : next_lsn();
+void WalWriter::append_drop_table(std::string_view table, std::uint64_t lsn) {
   scratch_.clear();
   put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kDropTable));
-  put_u64(scratch_, seq);
+  put_u64(scratch_, lsn);
   put_str(scratch_, table);
-  append(scratch_, 1, seq);
+  append(scratch_, 1, lsn);
 }
 
-void WalWriter::append_clear(std::optional<std::uint64_t> lsn) {
-  const std::uint64_t seq = lsn ? *lsn : next_lsn();
+void WalWriter::append_clear(std::uint64_t lsn) {
   scratch_.clear();
   put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kClear));
-  put_u64(scratch_, seq);
-  append(scratch_, 1, seq);
+  put_u64(scratch_, lsn);
+  append(scratch_, 1, lsn);
 }
 
-void WalWriter::append_wave_commit(Timestamp wave, std::optional<std::uint64_t> lsn,
-                                   bool sync_now) {
-  const std::uint64_t seq = lsn ? *lsn : next_lsn();
+void WalWriter::append_wave_commit(Timestamp wave, std::uint64_t lsn) {
   scratch_.clear();
   put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kWaveCommit));
-  put_u64(scratch_, seq);
+  put_u64(scratch_, lsn);
   put_u64(scratch_, wave);
-  append(scratch_, sync_now ? 2 : 3, seq);
+  append(scratch_, 2, lsn);
 }
 
 // ---------------------------------------------------------------------------

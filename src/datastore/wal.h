@@ -25,10 +25,10 @@ namespace smartflux::ds {
 ///   [u32 payload_len][u32 crc32c(payload)][payload]
 ///   payload = [u8 kind][u64 lsn][kind-specific fields]
 ///
-/// The lsn is a store-global log sequence number: with a sharded store every
-/// shard's WAL family draws lsns from one shared counter, so recovery can
-/// merge the interleaved per-shard segments back into the single total order
-/// the mutations were applied in. Records broadcast to every family
+/// The lsn is a store-global log sequence number: every shard's WAL family
+/// (one family at one shard) draws lsns from one shared counter, so recovery
+/// merges the per-shard segments back into the single total order the
+/// mutations were applied in. Records broadcast to every family
 /// (create/drop/clear, wave commits) carry the SAME lsn in each copy, which
 /// is how replay deduplicates them and how a wave commit's "present in all
 /// shards" barrier is checked.
@@ -72,36 +72,31 @@ struct WalRecord {
   std::vector<BatchOp> batch;  ///< kPutBatch
 };
 
-/// "wal-000042.sflog" <-> 42. Segment numbers start at 1 and only grow;
-/// rotation happens at checkpoints.
-std::string wal_segment_name(std::uint64_t seq);
-std::optional<std::uint64_t> parse_wal_segment_name(std::string_view name);
-/// Sharded WAL family naming: "wal-s3-000042.sflog" = shard 3, segment 42.
-/// A store with shards == 1 keeps the legacy unsharded name above, so the
-/// default layout is unchanged byte for byte.
-std::string sharded_wal_segment_name(std::size_t shard, std::uint64_t seq);
-/// (shard, segment) of either naming scheme: the legacy name parses as
-/// shard 0, so a sharded recovery can replay a dir written unsharded (and
-/// vice versa — routing is recomputed from the replayed row keys).
+/// WAL segment naming: "wal-s3-000042.sflog" = shard 3, segment 42. Every
+/// store, unsharded included, writes one family per shard; segment numbers
+/// start at 1 and only grow, and rotation happens at checkpoints.
+std::string wal_segment_name(std::size_t shard, std::uint64_t seq);
 struct WalSegmentId {
   std::size_t shard = 0;
   std::uint64_t seq = 0;
 };
-std::optional<WalSegmentId> parse_any_wal_segment_name(std::string_view name);
+/// (shard, segment) of a segment name, or nullopt for any other name —
+/// including the pre-shard "wal-000042.sflog" form, which no store reads.
+std::optional<WalSegmentId> parse_wal_segment_name(std::string_view name);
 /// "checkpoint-000042.sfck" <-> 42 (the highest segment the checkpoint
 /// covers).
 std::string checkpoint_file_name(std::uint64_t cut_seq);
 std::optional<std::uint64_t> parse_checkpoint_file_name(std::string_view name);
 
 /// Pre-resolved WAL metric handles (owned by the DataStore's Durability).
-/// With a sharded store each family carries its own copy: records/bytes/
-/// syncs point at the shared store-wide series, shard_bytes (when set) at
-/// the family's own sf_ds_wal_shard_bytes_total{shard=...} series.
+/// Each family carries its own copy: records/bytes/syncs point at the shared
+/// store-wide series, shard_bytes (set only when shards > 1) at the family's
+/// own sf_ds_wal_shard_bytes_total{shard=...} series.
 struct WalObs {
   obs::Counter* records = nullptr;
   obs::Counter* bytes = nullptr;
   obs::Counter* syncs = nullptr;
-  obs::Counter* shard_bytes = nullptr;  ///< per-shard bytes, sharded stores only
+  obs::Counter* shard_bytes = nullptr;  ///< per-shard bytes, shards > 1 only
   obs::Histogram* fsync_duration = nullptr;
 };
 
@@ -110,24 +105,22 @@ struct WalObs {
 /// the owning DataStore serializes appends under its WAL mutex.
 ///
 /// Fault injection: when a FaultInjector is attached, every append consults
-/// the disk-fault schedule (tag = `fault_tag`, default "wal"; sharded
-/// families use "wal-s<k>"; seq = the record's lsn) and every fsync consults
-/// the fsync schedule. A fired fault leaves the file exactly as a crash
-/// would (nothing, a torn prefix, or everything but the last byte), marks
-/// the writer broken, and throws InjectedFault; every later operation on a
-/// broken writer throws Error.
+/// the disk-fault schedule (tag = `fault_tag`, "wal-s<k>" for a store's
+/// shard k; seq = the record's lsn) and every fsync consults the fsync
+/// schedule (seq = this writer's zero-based fsync count). A fired fault
+/// leaves the file exactly as a crash would (nothing, a torn prefix, or
+/// everything but the last byte), marks the writer broken, and throws
+/// InjectedFault; every later operation on a broken writer throws Error.
 ///
-/// Lsn allocation: with `lsn_source` (the owning store's global counter),
-/// every append draws its lsn from it — the caller must hold the family
-/// mutex across the append so per-family lsns are monotone. Without one
-/// (standalone writers, tests) the internal running record count doubles as
-/// the lsn, which matches the unsharded store exactly. Broadcast records
-/// pass an explicit pre-drawn lsn instead so every family logs the same one.
+/// Lsn allocation: put/batch/erase records draw their lsn from `lsn_counter`
+/// (the owning store's global counter) — the caller must hold the family
+/// mutex across the append so per-family lsns are monotone. Records a store
+/// broadcasts to every family (create/drop/clear, wave commits) pass one
+/// pre-drawn lsn instead, so every family logs the same one.
 class WalWriter {
  public:
   WalWriter(std::string path, WalFlushPolicy policy, FaultInjector* injector,
-            std::uint64_t first_record_seq = 0,
-            std::atomic<std::uint64_t>* lsn_source = nullptr, std::string fault_tag = "wal");
+            std::atomic<std::uint64_t>& lsn_counter, std::string fault_tag);
   ~WalWriter();  ///< best-effort flush, no sync (durability points are explicit)
 
   WalWriter(const WalWriter&) = delete;
@@ -138,19 +131,15 @@ class WalWriter {
   void append_batch(std::string_view table, Timestamp ts, std::span<const PutOp> ops);
   void append_erase(std::string_view table, std::string_view row, std::string_view column,
                     Timestamp ts);
-  void append_create_table(std::string_view table,
-                           std::optional<std::uint64_t> lsn = std::nullopt);
-  void append_drop_table(std::string_view table,
-                         std::optional<std::uint64_t> lsn = std::nullopt);
-  void append_clear(std::optional<std::uint64_t> lsn = std::nullopt);
-  /// With sync_now (the default) flushes and fsyncs regardless of policy:
-  /// the wave commit is the durability point the recovery boundary rule is
-  /// built on. A sharded store's two-phase commit passes sync_now = false to
-  /// write the record to every family first (phase 1) and then fsyncs each
-  /// family via sync() (phase 2), so no shard's stamp hits stable storage
-  /// before every shard has the record in its file.
-  void append_wave_commit(Timestamp wave, std::optional<std::uint64_t> lsn = std::nullopt,
-                          bool sync_now = true);
+  void append_create_table(std::string_view table, std::uint64_t lsn);
+  void append_drop_table(std::string_view table, std::uint64_t lsn);
+  void append_clear(std::uint64_t lsn);
+  /// Phase 1 of a wave commit: writes the record and flushes it to the OS
+  /// regardless of policy, without an fsync. The store appends it to every
+  /// family first and then fsyncs each family via sync() (phase 2), so no
+  /// shard's stamp hits stable storage before every shard has the record in
+  /// its file.
+  void append_wave_commit(Timestamp wave, std::uint64_t lsn);
 
   /// Pushes buffered bytes to the OS (no fsync).
   void flush();
@@ -158,9 +147,6 @@ class WalWriter {
   void sync();
 
   const std::string& path() const noexcept { return path_; }
-  /// Records appended through this writer across its lifetime (continues
-  /// across segments via first_record_seq — the fault-injection seq space).
-  std::uint64_t record_seq() const noexcept { return record_seq_; }
   std::uint64_t bytes_appended() const noexcept { return bytes_appended_; }
   std::uint64_t sync_count() const noexcept { return sync_seq_; }
   bool broken() const noexcept { return broken_; }
@@ -170,11 +156,10 @@ class WalWriter {
  private:
   /// Frames `payload`, applies the fault schedule (keyed by `lsn`), writes,
   /// and applies the flush policy. `sync_class`: 0 = ride along, 1 = policy
-  /// batch boundary, 2 = forced sync (wave commit), 3 = forced flush without
-  /// sync (phase 1 of a sharded two-phase commit).
+  /// batch boundary, 2 = forced flush without sync (phase 1 of a wave
+  /// commit).
   void append(std::string_view payload, int sync_class, std::uint64_t lsn);
-  /// Lsn for the next record: drawn from lsn_source_ when attached (caller
-  /// holds the family mutex), else the internal running count.
+  /// Lsn for the next put/batch/erase record, drawn from lsn_counter_.
   std::uint64_t next_lsn() noexcept;
   void check_usable() const;
 
@@ -182,11 +167,10 @@ class WalWriter {
   SyncFile file_;
   WalFlushPolicy policy_;
   FaultInjector* injector_;
-  std::atomic<std::uint64_t>* lsn_source_;
+  std::atomic<std::uint64_t>& lsn_counter_;
   std::string fault_tag_;
   std::string scratch_;        ///< payload encode buffer, reused
   std::string pending_;        ///< framed bytes not yet written to the OS
-  std::uint64_t record_seq_ = 0;
   std::uint64_t sync_seq_ = 0;
   std::uint64_t bytes_appended_ = 0;
   bool broken_ = false;

@@ -18,6 +18,7 @@
 #include "core/smartflux.h"
 #include "datastore/datastore.h"
 #include "datastore/wal.h"
+#include "keys.h"
 #include "wms/engine.h"
 #include "wms/journal.h"
 
@@ -181,7 +182,7 @@ std::pair<std::string, RecoveryInfo> run_and_recover(const Workload& workload,
                                                      std::uint64_t kill) {
   FaultInjector injector(42);
   injector.add_disk_rule(DiskFaultRule{
-      .kind = fault_kind, .file_tag = "wal", .first_record = kill, .last_record = kill});
+      .kind = fault_kind, .file_tag = "wal-s0", .first_record = kill, .last_record = kill});
   {
     DataStore store;
     DurabilityOptions options;
@@ -430,10 +431,10 @@ TEST(ShardedCheckpointing, CheckpointRotatesEveryFamilyAndBoundsReplay) {
     // The checkpoint cut every family's segment 1; appends continue in each
     // family's segment 2.
     EXPECT_TRUE(std::filesystem::exists(dir + "/checkpoint-000001.sfck"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/" + sharded_wal_segment_name(0, 1)));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/" + sharded_wal_segment_name(1, 1)));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/" + sharded_wal_segment_name(0, 2)));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/" + sharded_wal_segment_name(1, 2)));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + wal_segment_name(0, 1)));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + wal_segment_name(1, 1)));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/" + wal_segment_name(0, 2)));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/" + wal_segment_name(1, 2)));
     store.put("t", r0, "c", 2, 3.0);
     store.commit_wave(2);
   }
@@ -450,7 +451,7 @@ TEST(Durability, FsyncFailureIsFatalButNotCorrupting) {
   const std::string dir = fresh_dir("sf_fsyncfail");
   FaultInjector injector(7);
   injector.add_disk_rule(DiskFaultRule{
-      .kind = DiskFaultKind::kFsyncFail, .file_tag = "wal", .first_record = 2,
+      .kind = DiskFaultKind::kFsyncFail, .file_tag = "wal-s0", .first_record = 2,
       .last_record = 2});
   {
     DataStore store;
@@ -484,7 +485,7 @@ TEST(Durability, EveryWavePolicyLosesAtMostTheInFlightWave) {
     store.commit_wave(1);  // fsyncs everything up to here
     store.put("t", "w2", "c", 2, 2.0);
     // Crash on the wave-2 commit: the buffered wave-2 records die unsynced.
-    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal"});
+    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0"});
     EXPECT_THROW(store.commit_wave(2), InjectedFault);
   }
   RecoveryInfo info;
@@ -550,8 +551,8 @@ TEST(Checkpointing, CheckpointRotatesTheLogAndBoundsReplay) {
     store.checkpoint();
     // The checkpoint replaced segment 1; appends continue in segment 2.
     EXPECT_TRUE(std::filesystem::exists(dir + "/checkpoint-000001.sfck"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/wal-000001.sflog"));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/wal-000002.sflog"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/wal-s0-000001.sflog"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/wal-s0-000002.sflog"));
     store.put("t", "r2", "c", 3, 6.0);
     store.commit_wave(2);
   }
@@ -634,6 +635,150 @@ TEST(Checkpointing, StaleTempFilesAreCleanedUpOnRecover) {
 }
 
 // ---------------------------------------------------------------------------
+// Every store is a ring of N >= 1 shards with one WAL layout: a data dir
+// written at any shard count recovers into any other.
+
+/// One wave of mixed writes: point puts, a batch spanning shards, an erase,
+/// a created-then-dropped table, and the wave commit.
+void write_wave(DataStore& store, Timestamp wave) {
+  for (std::size_t i = 0; i < 24; ++i) {
+    store.put("t", test::key("r", i), "c", wave, static_cast<double>(wave * 100 + i));
+  }
+  std::vector<std::string> rows;
+  for (std::size_t i = 0; i < 16; ++i) rows.push_back(test::key("b", i));
+  std::vector<PutOp> ops;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ops.push_back({rows[i], "x", static_cast<double>(wave) + 0.25 * static_cast<double>(i)});
+  }
+  store.put_batch("u", wave, ops);
+  store.erase("t", test::key("r", wave % 24), "c", wave);
+  const std::string scratch = test::key("scratch", wave);
+  store.put(scratch, "r", "c", wave, 1.0);
+  store.drop_table(scratch);
+  store.commit_wave(wave);
+}
+
+TEST(Durability, AnyShardCountRecoversIntoAnyOther) {
+  for (const bool checkpointed : {false, true}) {
+    SCOPED_TRACE(checkpointed ? "after a checkpoint" : "WAL only");
+    const std::string dir = fresh_dir(checkpointed ? "sf_width_ckpt" : "sf_width_wal");
+    const ShardOptions one{.shards = 1};
+    const ShardOptions three{.shards = 3};
+    // Two waves per store, with a checkpoint between them when asked.
+    const auto write_two = [checkpointed](DataStore& store, Timestamp first) {
+      write_wave(store, first);
+      if (checkpointed) store.checkpoint();
+      write_wave(store, first + 1);
+    };
+
+    std::string expected;
+    {
+      DataStore writer(2, one);
+      writer.enable_durability(dir);
+      write_two(writer, 1);
+      expected = dump_store(writer);
+      // One shard writes one family under the same names as N shards do.
+      const std::string live = checkpointed ? "/wal-s0-000002.sflog" : "/wal-s0-000001.sflog";
+      EXPECT_TRUE(std::filesystem::exists(dir + live));
+      EXPECT_FALSE(std::filesystem::exists(dir + "/wal-s1-000001.sflog"));
+    }
+    // 1 -> 3
+    {
+      RecoveryInfo info;
+      auto store = DataStore::recover(dir, {}, 2, &info, three);
+      EXPECT_EQ(dump_store(*store), expected);
+      EXPECT_EQ(info.last_durable_wave, std::optional<Timestamp>{2});
+      write_two(*store, 3);
+      expected = dump_store(*store);
+    }
+    // 3 -> 1
+    FaultInjector injector(5);
+    DurabilityOptions options;
+    options.fault_injector = &injector;
+    {
+      RecoveryInfo info;
+      auto store = DataStore::recover(dir, options, 2, &info, one);
+      EXPECT_EQ(dump_store(*store), expected);
+      EXPECT_EQ(info.last_durable_wave, std::optional<Timestamp>{4});
+      write_wave(*store, 5);
+      expected = dump_store(*store);
+      // Crash the reopened store on the first append of wave 6.
+      injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0"});
+      EXPECT_THROW(write_wave(*store, 6), InjectedFault);
+    }
+    // The dir now holds generations of one and of three families; the lsn
+    // merge replays them into the state the crashed store had made durable.
+    for (const ShardOptions& width : {one, three}) {
+      RecoveryInfo info;
+      auto store = DataStore::recover(dir, {}, 2, &info, width);
+      EXPECT_EQ(dump_store(*store), expected) << width.shards << " shards";
+      EXPECT_EQ(info.last_durable_wave, std::optional<Timestamp>{5}) << width.shards << " shards";
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(Durability, RecoverAndEnableRefuseALegacyWalSegmentByName) {
+  const std::string dir = fresh_dir("sf_legacy_wal");
+  std::filesystem::create_directories(dir);
+  {
+    // The pre-shard "wal-%06d.sflog" layout, next to a current segment.
+    std::ofstream os(dir + "/wal-000001.sflog", std::ios::binary);
+    os << "legacy";
+  }
+  const auto expect_named_error = [](const std::function<void()>& open) {
+    try {
+      open();
+      ADD_FAILURE() << "expected Error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("wal-000001.sflog"), std::string::npos) << e.what();
+    }
+  };
+  expect_named_error([&dir] { DataStore::recover(dir); });
+  expect_named_error([&dir] {
+    DataStore store;
+    store.enable_durability(dir);
+  });
+  expect_named_error(
+      [&dir] { DataStore::recover(dir, {}, 2, nullptr, ShardOptions{.shards = 3}); });
+  // Refusing is all recovery did: the file is still there, and nothing new
+  // was written beside it.
+  EXPECT_TRUE(std::filesystem::exists(dir + "/wal-000001.sflog"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/wal-s0-000001.sflog"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Durability, FailedBatchLogsExactlyItsAppliedPrefix) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    const ShardOptions so{.shards = shards};
+    const std::string dir = fresh_dir(test::key("sf_batch_prefix_", shards));
+    std::string expected;
+    {
+      DataStore store(2, so);
+      DurabilityOptions options;
+      options.flush = WalFlushPolicy::kEveryOp;
+      store.enable_durability(dir, options);
+      store.put("t", "r1", "c", 5, 5.0);
+      // r1 at ts 4 regresses its cell: the batch fails at its third op.
+      const std::vector<PutOp> ops = {
+          {"r0", "c", 1.0}, {"r2", "c", 2.0}, {"r1", "c", 3.0}, {"r3", "c", 4.0}};
+      EXPECT_THROW(store.put_batch("t", 4, ops), Error);
+      if (shards == 1) {
+        // One shard applies the batch in place: exactly the prefix before r1.
+        EXPECT_EQ(store.get("t", "r0", "c"), std::optional<double>{1.0});
+        EXPECT_EQ(store.get("t", "r2", "c"), std::optional<double>{2.0});
+        EXPECT_EQ(store.get("t", "r1", "c"), std::optional<double>{5.0});
+        EXPECT_EQ(store.get("t", "r3", "c"), std::nullopt);
+      }
+      expected = dump_store(store);
+    }
+    auto recovered = DataStore::recover(dir, {}, 2, nullptr, so);
+    EXPECT_EQ(dump_store(*recovered), expected) << shards << " shards";
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: engine + journal + durable store crash/resume
 
 wms::WorkflowSpec pipeline_spec() {
@@ -674,7 +819,7 @@ TEST(EngineCrashRecovery, SigkillMidWaveResumesAtOneConsistentBoundary) {
     // Steps fail, and the engine's commit_wave(4) — which runs *before* the
     // journal append — surfaces the broken WAL, so neither layer records
     // wave 4.
-    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal"});
+    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0"});
     EXPECT_THROW(engine.run_waves(4, 1, sync), Error);
   }
 
@@ -770,7 +915,7 @@ TEST(SmartFluxCrashRecovery, CrashedEngineResumesFromDurableStoreAndJournal) {
 
     // Crash mid-wave-37: the WAL dies on the first append of the wave.
     injector.add_disk_rule(
-        DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal"});
+        DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0"});
     EXPECT_THROW(sf.run(37, 1), Error);
   }
 

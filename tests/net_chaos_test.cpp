@@ -178,7 +178,7 @@ TEST(NetIdempotency, KeysSurviveCrashRecoverAtEveryKillPoint) {
     ASSERT_FALSE(stage_body_keyed(bridge, "sensors", "k0", "r1,o3,1.5\nr2,o3,2.5\n").duplicate);
     // 202 went out here; the crash lands between that ack and the commit.
     faults.add_disk_rule({.kind = DiskFaultKind::kCrash,
-                          .file_tag = "wal",
+                          .file_tag = "wal-s0",
                           .first_record = kill,
                           .last_record = kill,
                           .message = "kill point"});

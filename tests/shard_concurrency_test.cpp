@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "datastore/client.h"
 #include "datastore/datastore.h"
 #include "datastore/shard_ring.h"
@@ -98,16 +97,13 @@ TEST(ShardRingTest, GrowingTheRingMovesOnlyAMinorityOfKeys) {
 // ---------------------------------------------------------------------------
 // Split-batch equivalence
 
-/// Applies the same op sequence to a sharded store (parallel split path
-/// forced on) and an unsharded one, and compares full state, latest and
-/// as-of reads and previous versions — split application must be invisible
-/// to every read surface.
+/// Applies the same op sequence to a sharded store (every batch split across
+/// shards) and an unsharded one (every batch applied in place), and compares
+/// full state, latest and as-of reads and previous versions — split
+/// application must be invisible to every read surface.
 TEST(ShardEquivalence, SplitBatchMatchesSerialBatchExactly) {
-  ThreadPool pool(4);
   ShardOptions so;
   so.shards = 4;
-  so.batch_pool = &pool;
-  so.parallel_batch_min_ops = 1;  // force the parallel path even for tiny batches
   DataStore sharded(3, so);
   DataStore plain(3);
 
@@ -156,11 +152,8 @@ TEST(ShardEquivalence, ScanOrderAndSnapshotMatchUnshardedStore) {
 // Concurrency (the TSan target: cross-shard writers, readers, scanners)
 
 TEST(ShardConcurrency, ConcurrentCrossShardWritersReadersAndScanners) {
-  ThreadPool pool(4);
   ShardOptions so;
   so.shards = 4;
-  so.batch_pool = &pool;
-  so.parallel_batch_min_ops = 8;
   DataStore store(2, so);
 
   constexpr std::size_t kWriters = 4;

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -39,13 +43,25 @@ std::vector<WalRecord> read_all(const std::string& path, WalReader::Next* termin
 }
 
 TEST(WalNames, SegmentAndCheckpointNamesRoundTrip) {
-  EXPECT_EQ(wal_segment_name(42), "wal-000042.sflog");
-  EXPECT_EQ(parse_wal_segment_name("wal-000042.sflog"), std::optional<std::uint64_t>{42});
-  EXPECT_EQ(parse_wal_segment_name(wal_segment_name(1234567)),
-            std::optional<std::uint64_t>{1234567});
-  EXPECT_EQ(parse_wal_segment_name("wal-xx.sflog"), std::nullopt);
-  EXPECT_EQ(parse_wal_segment_name("checkpoint-000001.sfck"), std::nullopt);
-  EXPECT_EQ(parse_wal_segment_name("wal-.sflog"), std::nullopt);
+  const auto parsed =
+      [](std::string_view name) -> std::optional<std::pair<std::size_t, std::uint64_t>> {
+    const auto id = parse_wal_segment_name(name);
+    if (!id) return std::nullopt;
+    return std::make_pair(id->shard, id->seq);
+  };
+  EXPECT_EQ(wal_segment_name(0, 42), "wal-s0-000042.sflog");
+  EXPECT_EQ(wal_segment_name(3, 42), "wal-s3-000042.sflog");
+  EXPECT_EQ(parsed("wal-s0-000042.sflog"), std::make_pair(std::size_t{0}, std::uint64_t{42}));
+  EXPECT_EQ(parsed(wal_segment_name(12, 1234567)),
+            std::make_pair(std::size_t{12}, std::uint64_t{1234567}));
+  // The pre-shard "wal-%06d.sflog" form is not a segment name any more.
+  EXPECT_EQ(parsed("wal-000042.sflog"), std::nullopt);
+  EXPECT_EQ(parsed("wal-xx.sflog"), std::nullopt);
+  EXPECT_EQ(parsed("checkpoint-000001.sfck"), std::nullopt);
+  EXPECT_EQ(parsed("wal-.sflog"), std::nullopt);
+  EXPECT_EQ(parsed("wal-s-000001.sflog"), std::nullopt);
+  EXPECT_EQ(parsed("wal-s1-.sflog"), std::nullopt);
+  EXPECT_EQ(parsed("wal-sx-000001.sflog"), std::nullopt);
 
   EXPECT_EQ(checkpoint_file_name(7), "checkpoint-000007.sfck");
   EXPECT_EQ(parse_checkpoint_file_name("checkpoint-000007.sfck"),
@@ -56,16 +72,18 @@ TEST(WalNames, SegmentAndCheckpointNamesRoundTrip) {
 TEST(Wal, EveryRecordKindRoundTrips) {
   const std::string path = temp_path("sf_wal_roundtrip.sflog");
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr);
-    writer.append_create_table("t");
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal");
+    writer.append_create_table("t", lsn++);
     writer.append_put("t", "r1", "c1", 5, 1.25);
     const std::vector<PutOp> ops = {{"r2", "c1", 2.0}, {"r3", "c2", -3.5}};
     writer.append_batch("t", 6, ops);
     writer.append_erase("t", "r1", "c1", 7);
-    writer.append_drop_table("t");
-    writer.append_clear();
-    writer.append_wave_commit(9);
-    EXPECT_EQ(writer.record_seq(), 7u);
+    writer.append_drop_table("t", lsn++);
+    writer.append_clear(lsn++);
+    writer.append_wave_commit(9, lsn++);
+    writer.sync();
+    EXPECT_EQ(lsn.load(), 7u);
     EXPECT_FALSE(writer.broken());
   }
 
@@ -73,6 +91,8 @@ TEST(Wal, EveryRecordKindRoundTrips) {
   const auto records = read_all(path, &terminal);
   EXPECT_EQ(terminal, WalReader::Next::kEnd);
   ASSERT_EQ(records.size(), 7u);
+  // Seven records read back, carrying the lsns 0..6 in append order.
+  for (std::size_t i = 0; i < records.size(); ++i) EXPECT_EQ(records[i].lsn, i);
 
   EXPECT_EQ(records[0].kind, WalRecordKind::kCreateTable);
   EXPECT_EQ(records[0].table, "t");
@@ -104,7 +124,10 @@ TEST(Wal, EveryRecordKindRoundTrips) {
 
 TEST(Wal, EmptySegmentIsCleanEnd) {
   const std::string path = temp_path("sf_wal_empty.sflog");
-  { WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr); }
+  {
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal");
+  }
   WalReader::Next terminal{};
   EXPECT_TRUE(read_all(path, &terminal).empty());
   EXPECT_EQ(terminal, WalReader::Next::kEnd);
@@ -114,7 +137,8 @@ TEST(Wal, PartialTrailingRecordIsToleratedTruncation) {
   const std::string path = temp_path("sf_wal_torn.sflog");
   std::uint64_t clean_size = 0;
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr);
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     clean_size = writer.bytes_appended();
@@ -137,7 +161,8 @@ TEST(Wal, PartialTrailingRecordIsToleratedTruncation) {
 TEST(Wal, CorruptFinalRecordIsToleratedTruncation) {
   const std::string path = temp_path("sf_wal_badtail.sflog");
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr);
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
   }
@@ -157,7 +182,8 @@ TEST(Wal, CorruptFinalRecordIsToleratedTruncation) {
 TEST(Wal, MidLogCorruptionIsHardError) {
   const std::string path = temp_path("sf_wal_midcorrupt.sflog");
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr);
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     writer.append_put("t", "r", "c", 3, 3.0);
@@ -200,38 +226,57 @@ TEST(Wal, AbsurdRecordLengthIsHardError) {
 
 TEST(Wal, FlushPolicyGovernsSyncCadence) {
   const std::vector<PutOp> ops = {{"r", "c", 1.0}};
+  // Phase 1 of a wave commit never fsyncs under any policy, but always hands
+  // every byte to the OS; the commit's fsync is the explicit sync() after it.
+  const auto flushed = [](const std::string& path, const WalWriter& writer) {
+    return std::filesystem::file_size(path) == writer.bytes_appended();
+  };
 
   {
-    WalWriter writer(temp_path("sf_wal_policy_op.sflog"), WalFlushPolicy::kEveryOp, nullptr);
+    const std::string path = temp_path("sf_wal_policy_op.sflog");
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     writer.append_batch("t", 3, ops);
     EXPECT_EQ(writer.sync_count(), 3u);  // one per record
-    writer.append_wave_commit(1);
+    writer.append_wave_commit(1, lsn++);
+    EXPECT_EQ(writer.sync_count(), 3u);
+    EXPECT_TRUE(flushed(path, writer));
+    writer.sync();
     EXPECT_EQ(writer.sync_count(), 4u);
   }
   {
-    WalWriter writer(temp_path("sf_wal_policy_batch.sflog"), WalFlushPolicy::kEveryBatch,
-                     nullptr);
+    const std::string path = temp_path("sf_wal_policy_batch.sflog");
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryBatch, nullptr, lsn, "wal");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     EXPECT_EQ(writer.sync_count(), 0u);  // singles ride along
     writer.append_batch("t", 3, ops);
     EXPECT_EQ(writer.sync_count(), 1u);  // batch is the durability unit
-    writer.append_create_table("u");
+    writer.append_create_table("u", lsn++);
     EXPECT_EQ(writer.sync_count(), 2u);  // structural records sync too
-    writer.append_wave_commit(1);
+    writer.append_wave_commit(1, lsn++);
+    EXPECT_EQ(writer.sync_count(), 2u);
+    EXPECT_TRUE(flushed(path, writer));
+    writer.sync();
     EXPECT_EQ(writer.sync_count(), 3u);
   }
   {
-    WalWriter writer(temp_path("sf_wal_policy_wave.sflog"), WalFlushPolicy::kEveryWave,
-                     nullptr);
+    const std::string path = temp_path("sf_wal_policy_wave.sflog");
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryWave, nullptr, lsn, "wal");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_batch("t", 2, ops);
-    writer.append_create_table("u");
+    writer.append_create_table("u", lsn++);
     EXPECT_EQ(writer.sync_count(), 0u);  // nothing syncs before the wave
-    writer.append_wave_commit(1);
-    EXPECT_EQ(writer.sync_count(), 1u);  // the wave commit always does
+    EXPECT_FALSE(flushed(path, writer));  // ... nor leaves the user-space buffer
+    writer.append_wave_commit(1, lsn++);
+    EXPECT_EQ(writer.sync_count(), 0u);
+    EXPECT_TRUE(flushed(path, writer));
+    writer.sync();
+    EXPECT_EQ(writer.sync_count(), 1u);  // the wave commit's own fsync
   }
 }
 
@@ -242,7 +287,8 @@ TEST(Wal, InjectedCrashWritesNothingForTheMatchedRecord) {
       DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal", .first_record = 2,
                     .last_record = 2});
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector);
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector, lsn, "wal");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     EXPECT_THROW(writer.append_put("t", "r", "c", 3, 3.0), InjectedFault);
@@ -268,7 +314,8 @@ TEST(Wal, InjectedTornWriteLeavesGenuinelyPartialRecord) {
                     .last_record = 1});
   std::uint64_t clean = 0;
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector);
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector, lsn, "wal");
     writer.append_put("t", "r", "c", 1, 1.0);
     clean = writer.bytes_appended();
     EXPECT_THROW(writer.append_put("t", "row-two", "col-two", 2, 2.0), InjectedFault);
@@ -289,7 +336,8 @@ TEST(Wal, InjectedShortWriteDropsExactlyOneByte) {
   injector.add_disk_rule(
       DiskFaultRule{.kind = DiskFaultKind::kShortWrite, .file_tag = "wal"});
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector);
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector, lsn, "wal");
     EXPECT_THROW(writer.append_put("t", "r", "c", 1, 1.0), InjectedFault);
   }
   // Full frame minus one byte: length and CRC are present, payload is short.
@@ -305,7 +353,8 @@ TEST(Wal, InjectedFsyncFailureIsFatalForTheWriter) {
   injector.add_disk_rule(
       DiskFaultRule{.kind = DiskFaultKind::kFsyncFail, .file_tag = "wal", .first_record = 1,
                     .last_record = 1});
-  WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector);
+  std::atomic<std::uint64_t> lsn{0};
+  WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector, lsn, "wal");
   writer.append_put("t", "r", "c", 1, 1.0);
   // fsyncgate: after a failed fsync the page-cache state is unknowable, so
   // the writer must not carry on as if retrying were safe.
